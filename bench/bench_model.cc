@@ -5,8 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/analysis/trace_analysis.h"
 #include "src/core/failure_point_tree.h"
-#include "src/core/trace_analysis.h"
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/trace.h"
 #include "src/pmem/pm_pool.h"

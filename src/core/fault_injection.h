@@ -32,6 +32,8 @@
 
 namespace mumak {
 
+class VerdictLedger;
+
 // Creates a fresh target instance; fault injection re-executes the workload
 // once per unique failure point, each time on a fresh target + pool.
 using TargetFactory = std::function<TargetPtr()>;
@@ -72,15 +74,14 @@ struct CrashSignal {
 };
 
 // Event sink implementing failure-point detection. In kProfile mode it
-// builds the failure point tree; in kInject mode it throws CrashSignal at
-// the first unvisited failure point (marking it visited).
+// builds the failure point tree; in kInjectAt mode it throws CrashSignal at
+// one pre-assigned failure point.
 class FailurePointSink : public EventSink {
  public:
-  // kProfile builds the tree; kInject crashes at the first unvisited
-  // failure point; kInjectAt crashes at one pre-assigned failure point
-  // (parallel injection — the tree is read-only in this mode, so any
-  // number of kInjectAt executions can share it).
-  enum class Mode { kProfile, kInject, kInjectAt };
+  // kProfile builds the tree; kInjectAt crashes at one pre-assigned failure
+  // point (the tree is read-only in this mode, so any number of kInjectAt
+  // executions can share it).
+  enum class Mode { kProfile, kInjectAt };
 
   // Sentinel for "no instruction-counter target" (see set_inject_target).
   static constexpr uint64_t kNoSeq = ~0ull;
@@ -188,9 +189,9 @@ struct FaultInjectionOptions {
   CampaignJournal* journal = nullptr;
   // Decoded prior journal generation (--resume-journal): failure points
   // whose verdicts it records are skipped, and the recorded verdicts are
-  // replayed into the report through the same dedup path fresh outcomes
-  // take — interleaved in instruction-counter order, so a single-worker
-  // resumed campaign's report is byte-identical to an uninterrupted run.
+  // folded into the report with the fresh ones in instruction-counter
+  // order (VerdictLedger), so a resumed campaign's report is byte-identical
+  // to an uninterrupted run at any worker count.
   // Honoured only when the journal's profile fingerprint matches this
   // engine's freshly profiled trace fingerprint (the same staleness key
   // the MVC1 verdict cache uses); on mismatch the engine warns and runs
@@ -233,11 +234,10 @@ struct FaultInjectionOptions {
 };
 
 // One entry of the replay injection schedule: an unvisited failure point at
-// its first profiled instruction counter. The schedule is seq-sorted —
-// processing it in order reproduces the serial re-execution loop's crash
-// sequence exactly (and is what makes fleet sharding mergeable
-// deterministically: any partition of the schedule, merged back in seq
-// order, yields the same report).
+// its first profiled instruction counter. The schedule is seq-sorted, and
+// the report is a seq-ordered fold of the verdicts (VerdictLedger), so any
+// partition of the schedule — lanes, fleet shards — yields the same
+// report.
 struct ReplayPoint {
   FailurePointTree::NodeIndex node;
   uint64_t seq;
@@ -273,6 +273,32 @@ struct FaultInjectionStats {
   bool budget_stopped = false;
 };
 
+// -- Oracle and verdict helpers (shared with the fleet worker) -------------
+
+// Runs the recovery oracle on one crash image, in-process when `sandbox` is
+// null and in sandbox slot `slot` otherwise, and returns its verdict
+// (status, detail, sandbox evidence; seq, worker and location are stamped
+// by the ledger). `data`/`size` always describe the image bytes; `data ==
+// nullptr` means the caller already wrote them into the slot's shared
+// buffer (fork-server zero-copy path). `owned` must hold the image when
+// running in-process (PmPool::FromImage takes ownership); sandboxed runs
+// may pass it empty and let `data` reference any stable buffer.
+// In-process verdicts carry no sandbox evidence (wall_us stays 0).
+JournalVerdict RunOracle(RecoverySandbox* sandbox, uint32_t slot,
+                         const TargetFactory& factory, const uint8_t* data,
+                         size_t size, std::vector<uint8_t> owned);
+
+// A cached verdict standing in for an oracle run. Graceful-image equality
+// implies verdict equality (recovery is deterministic on the image bytes);
+// dedup_of names the image digest and the failure point whose check
+// produced the verdict (possibly in a previous run, via --verdict-cache).
+JournalVerdict VerdictFromCache(const VerdictCacheEntry& entry,
+                                const ImageDigest& digest);
+
+// The cache entry recording a fresh verdict first checked at `seq`.
+VerdictCacheEntry CacheEntryFromVerdict(const JournalVerdict& verdict,
+                                        uint64_t seq);
+
 class FaultInjectionEngine {
  public:
   FaultInjectionEngine(TargetFactory factory, WorkloadSpec spec,
@@ -284,8 +310,8 @@ class FaultInjectionEngine {
   FailurePointTree Profile(EventSink* trace = nullptr);
 
   // Injection loop (Figure 1 steps 7-9) over every unvisited failure point.
-  // With options.workers > 1 the loop partitions failure points across
-  // worker threads; findings and stats are merged before returning.
+  // options.workers lanes share the points; every verdict goes through one
+  // VerdictLedger, so the report does not depend on the lane count.
   Report InjectAll(FailurePointTree* tree, FaultInjectionStats* stats);
 
   // Convenience: Profile + InjectAll.
@@ -348,12 +374,16 @@ class FaultInjectionEngine {
   const TargetFactory& factory() const { return factory_; }
 
  private:
-  Report InjectAllSerial(FailurePointTree* tree, FaultInjectionStats* stats,
-                         RecoverySandbox* sandbox, VerdictCache* cache);
-  Report InjectAllParallel(FailurePointTree* tree, FaultInjectionStats* stats,
-                           RecoverySandbox* sandbox, VerdictCache* cache);
-  Report InjectAllReplay(FailurePointTree* tree, FaultInjectionStats* stats,
-                         RecoverySandbox* sandbox, VerdictCache* cache);
+  // Re-execution lanes: each lane claims the next point, re-runs the
+  // workload to its first-hit seq (call-stack matching for points this
+  // engine never profiled) and checks the graceful image.
+  void InjectReExecute(std::vector<ReplayPoint> points, VerdictLedger& ledger,
+                       FailurePointTree* tree, FaultInjectionStats* stats,
+                       RecoverySandbox* sandbox, VerdictCache* cache);
+  // Replay: crash images synthesized from the profiled trace.
+  void InjectReplay(const std::vector<ReplayPoint>& schedule,
+                    VerdictLedger& ledger, FaultInjectionStats* stats,
+                    RecoverySandbox* sandbox, VerdictCache* cache);
 
   TargetFactory factory_;
   WorkloadSpec spec_;

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "src/core/injection_schedule.h"
+#include "src/core/verdict_ledger.h"
 #include "src/fleet/bootstrap.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/transport.h"
@@ -35,10 +35,6 @@ namespace mumak {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 // A contiguous slice [begin, end) of the seq-sorted replay schedule.
 struct Range {
@@ -81,7 +77,6 @@ struct WorkerState {
 Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
                         FaultInjectionStats* stats,
                         const FleetConfig& config) {
-  const auto start = Clock::now();
   const FaultInjectionOptions& opts = engine->options();
   MetricsRegistry* metrics = opts.metrics;
   auto gauge = [&](const char* name, uint64_t value) {
@@ -153,11 +148,16 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     classmates.push_back(std::move(check.classmates));
   }
   stats->plan_finding_hits = plan.finding_hits;
-  count("inject.rank_finding_hits", plan.finding_hits);
-
   const uint32_t workers = static_cast<uint32_t>(std::max<uint64_t>(
       1, std::min<uint64_t>(config.workers,
                             schedule.empty() ? 1 : schedule.size())));
+  // One lane per worker plus the inline-fallback lane. Classmates advance
+  // progress when their representative's verdict fans out, so the total is
+  // the full schedule, not just the sharded checks.
+  VerdictLedger ledger(opts, tree, workers + 1, engine->resume_schedule(),
+                       full_schedule.size());
+  InjectionMetrics::Add(ledger.metrics().rank_finding_hits,
+                        plan.finding_hits);
   size_t shard_count =
       config.shards != 0 ? config.shards : static_cast<size_t>(workers) * 4;
   shard_count = std::max<size_t>(
@@ -167,12 +167,6 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
   gauge("fleet.shards", shard_count);
   gauge("inject.workers", workers);
   gauge("inject.replay_trace_bytes", stats->replay_trace_bytes);
-  if (opts.progress != nullptr) {
-    // Classmates advance when their representative's verdict fans out, so
-    // the total is the full schedule, not just the sharded checks.
-    opts.progress->BeginPhase("inject", full_schedule.size(),
-                              opts.time_budget_s);
-  }
 
   // Epoch-contiguous shards: each worker's cursor advances monotonically
   // within a range, and a range start is a seek target.
@@ -243,10 +237,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
   }
 
-  // Verdict store: one slot per schedule index, first delivery wins (a
-  // re-queued range can re-deliver indices whose original verdict arrived
-  // before the worker died).
-  std::vector<JournalVerdict> verdicts(schedule.size());
+  // First delivery wins: a re-queued range can re-deliver indices whose
+  // original verdict arrived before the worker died.
   std::vector<uint8_t> have(schedule.size(), 0);
   size_t received = 0;
   bool exhausted = false;
@@ -256,66 +248,14 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     if (index >= schedule.size() || have[index] != 0) {
       return;
     }
-    v.worker = worker_index;
-    v.seq = schedule[index].seq;
-    // Location is stamped here, not in the worker: path strings resolve
-    // through the process-global frame registry, which a stateless remote
-    // worker does not have. The tree lives only in this process, so the
-    // stamp is identical whichever lane (or the inline fallback) delivered
-    // the verdict.
-    v.location = v.status != "ok" ? tree->DescribePath(schedule[index].node)
-                                  : std::string();
     have[index] = 1;
     ++received;
-    tree->MarkVisited(schedule[index].node);
-    if (opts.journal != nullptr) {
-      opts.journal->WriteDispatch(v.seq, worker_index);
-      opts.journal->WriteVerdict(v);
-    }
-    count("inject.attempted");
-    count("inject.crashed");
-    if (metrics != nullptr) {
-      metrics
-          ->GetCounter("inject.worker." + std::to_string(worker_index) +
-                       ".injections")
-          ->Increment();
-    }
-    if (v.from_cache) {
-      count("inject.image_dedup_hits");
-      ++stats->dedup_hits;
-    } else if (v.status == "ok" || v.status == "unrecoverable" ||
-               v.status == "crashed" || v.status == "timeout") {
-      count(("recovery." + v.status).c_str());
-    }
-    if (opts.progress != nullptr) {
-      opts.progress->Advance();
-    }
-    verdicts[index] = std::move(v);
-    // Equivalence-class fan-out (--prune-equiv): classmates were proven
-    // image-identical to this representative, so its verdict is theirs —
-    // journaled with `pruned_by` provenance, never sharded, never merged
-    // (their detail is identical to the representative's, which always
-    // wins report dedup as the lower seq).
-    const JournalVerdict& representative = verdicts[index];
-    for (const ReplayPoint& mate : classmates[index]) {
-      tree->MarkVisited(mate.node);
-      ++stats->class_pruned;
-      count("inject.class_pruned");
-      if (opts.journal != nullptr) {
-        JournalVerdict jv = representative;
-        jv.seq = mate.seq;
-        jv.dedup_of.clear();
-        jv.from_cache = false;
-        jv.pruned_by = PrunedByProvenance(representative.seq);
-        jv.location = representative.status != "ok"
-                          ? tree->DescribePath(mate.node)
-                          : std::string();
-        opts.journal->WriteVerdict(jv);
-      }
-      if (opts.progress != nullptr) {
-        opts.progress->Advance();
-      }
-    }
+    // The ledger stamps the location here, not in the worker: path strings
+    // resolve through the process-global frame registry, which a stateless
+    // remote worker does not have.
+    ledger.Dispatch(worker_index, schedule[index]);
+    ledger.Verdict(worker_index, schedule[index], std::move(v),
+                   classmates[index]);
   };
 
   std::vector<WorkerState> fleet(workers);
@@ -620,31 +560,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
   }
 
-  bool budget_stopped = false;
-  auto over_budget = [&] {
-    if (received >= opts.max_injections ||
-        (opts.cancel != nullptr &&
-         opts.cancel->load(std::memory_order_relaxed)) ||
-        Seconds(start, Clock::now()) > opts.time_budget_s) {
-      return true;
-    }
-    // --budget-checks counts dispatched checks (class representatives);
-    // fanned-out classmates and resumed verdicts are free.
-    if ((opts.budget_checks > 0 && received >= opts.budget_checks) ||
-        (opts.budget_seconds > 0 &&
-         Seconds(start, Clock::now()) > opts.budget_seconds)) {
-      budget_stopped = true;
-      return true;
-    }
-    return false;
-  };
   const auto heartbeat_timeout = std::chrono::milliseconds(
       std::max<uint32_t>(config.heartbeat_timeout_ms, 100));
 
   // --- event loop -------------------------------------------------------
   assign();
   while (received < schedule.size() && alive_count > 0) {
-    if (over_budget()) {
+    if (ledger.Halted()) {
       exhausted = true;
       break;
     }
@@ -733,7 +655,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
           schedule[r.begin].seq, engine->profiled_pool_size(),
           /*track_digest=*/opts.image_dedup);
       for (size_t i = r.begin; i < r.end; ++i) {
-        if (over_budget()) {
+        if (ledger.Halted()) {
           exhausted = true;
           break;
         }
@@ -749,55 +671,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
   }
 
   // --- deterministic merge ----------------------------------------------
-  // All verdicts (fleet + resumed), seq-sorted, flow through the same
-  // skip-ok / dedup-by-detail / FindingFromVerdict path the in-process
-  // resume replay uses. Report dedup keys on the verdict detail and the
-  // winner is the lowest-seq occurrence — both are properties of the
-  // schedule and the (deterministic) oracle, not of which worker ran what,
-  // which is why the merged report is byte-identical to a single-process
-  // run at any worker count, over fork or TCP transports alike.
-  std::vector<const JournalVerdict*> ordered;
-  ordered.reserve(received + engine->resume_schedule().size());
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    if (have[i] != 0) {
-      ordered.push_back(&verdicts[i]);
-    }
-  }
-  for (const JournalVerdict& v : engine->resume_schedule()) {
-    ordered.push_back(&v);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const JournalVerdict* a, const JournalVerdict* b) {
-                     return a->seq < b->seq;
-                   });
-  Report report;
-  std::map<std::string, size_t> dedup;
-  for (const JournalVerdict* v : ordered) {
-    if (v->status == "ok") {
-      continue;
-    }
-    if (dedup.find(v->detail) != dedup.end()) {
-      count("inject.deduplicated");
-      continue;
-    }
-    dedup.emplace(v->detail, report.findings().size());
-    report.Add(JournalReplay::FindingFromVerdict(*v));
-  }
-
-  if (opts.progress != nullptr) {
-    opts.progress->EndPhase();
-  }
-
-  // --- stats + cache epilogue -------------------------------------------
-  stats->injections = received;
-  stats->replayed = received;
-  stats->budget_exhausted = exhausted;
-  stats->budget_stopped = budget_stopped;
-  if (budget_stopped) {
-    count("inject.budget_stops");
-  }
-  stats->bugs = report.BugCount();
-  stats->tree_bytes = tree->FootprintBytes();
+  // The ledger folds every verdict (fleet + resumed) in seq order, first
+  // per detail wins — properties of the schedule and the (deterministic)
+  // oracle, not of which worker ran what, which is why the merged report
+  // is byte-identical to a single-process run at any worker count, over
+  // fork or TCP transports alike.
+  Report report = ledger.Finish(stats);
+  stats->replayed = stats->injections;
   uint64_t collisions = session != nullptr ? session->collisions() : 0;
   for (const WorkerState& ws : fleet) {
     collisions += ws.collisions;
@@ -820,7 +700,6 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     gauge("verdict_cache.entries", warm->size());
     gauge("verdict_cache.loaded", warm->loaded());
   }
-  stats->elapsed_s = Seconds(start, Clock::now());
   return report;
 }
 

@@ -16,13 +16,13 @@ namespace mumak {
 // ranges, forks config.workers processes running the replay+sandbox+
 // verdict-cache pipeline (src/fleet/worker.h), coordinates them over MFL1
 // unix-socket pairs (work stealing from slow shards, heartbeat/timeout
-// death detection with re-queue of the lost range), and deterministically
-// merges the verdicts — seq-sorted, "ok" skipped, dedup-by-detail
-// first-wins — through the same JournalReplay::FindingFromVerdict path
-// resume uses. Requires engine->replay_ready() (Profile() ran with the
-// replay strategy); handles --resume-journal, --verdict-cache, the journal,
-// metrics (fleet.* counters + per-worker lanes), progress, budget and
-// cancellation exactly like InjectAll. If every worker dies, the remaining
+// death detection with re-queue of the lost range), and hands every
+// verdict to the same VerdictLedger InjectAll uses (src/core/
+// verdict_ledger.h), whose seq-ordered fold makes the report independent
+// of which worker ran what. Requires engine->replay_ready() (Profile() ran
+// with the replay strategy); handles --resume-journal, --verdict-cache,
+// the journal, metrics (fleet.* counters + per-worker lanes), progress,
+// budget and cancellation exactly like InjectAll. If every worker dies, the remaining
 // ranges run inline in this process — a one-worker fleet degrades to the
 // single-process pipeline, never to a lost campaign.
 Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,

@@ -14,7 +14,6 @@
 #include "src/fleet/wire.h"
 #include "src/observability/flat_json.h"
 #include "src/pmem/replay_cursor.h"
-#include "src/sandbox/child.h"
 #include "src/sandbox/recovery_sandbox.h"
 
 namespace mumak {
@@ -29,51 +28,6 @@ constexpr auto kHeartbeatInterval = std::chrono::milliseconds(500);
 // points — splitting single-digit tails thrashes more than it balances.
 constexpr size_t kMinStealRemainder = 2;
 
-const char* StatusName(RecoveryStatus status) {
-  switch (status) {
-    case RecoveryStatus::kOk:
-      return "ok";
-    case RecoveryStatus::kUnrecoverable:
-      return "unrecoverable";
-    case RecoveryStatus::kCrashed:
-      return "crashed";
-    case RecoveryStatus::kTimeout:
-      return "timeout";
-  }
-  return "unknown";
-}
-
-// One oracle invocation, mirroring the engine's in-process/sandboxed split
-// (fault_injection.cc RunOracle): in-process verdicts carry no sandbox
-// evidence (wall_us stays 0), keeping fleet reports byte-identical to the
-// in-process reference.
-struct OracleRun {
-  RecoveryResult result;
-  std::string signal_name;
-  bool timed_out = false;
-  uint64_t wall_us = 0;
-};
-
-OracleRun RunPointOracle(RecoverySandbox* sandbox, const TargetFactory& factory,
-                         const std::vector<uint8_t>& image) {
-  OracleRun out;
-  if (sandbox == nullptr) {
-    PmPool recovered = PmPool::FromImage(std::vector<uint8_t>(image));
-    TargetPtr fresh = factory();
-    out.result = RunRecoveryOracle(*fresh, recovered);
-    return out;
-  }
-  const SandboxVerdict verdict = sandbox->Check(0, image.data(), image.size());
-  out.result.status = verdict.status;
-  out.result.detail = verdict.detail;
-  if (verdict.signal != 0) {
-    out.signal_name = SignalName(verdict.signal);
-  }
-  out.timed_out = verdict.timed_out;
-  out.wall_us = verdict.recovery_wall_us;
-  return out;
-}
-
 }  // namespace
 
 PointResult ProcessReplayPoint(const TargetFactory& factory,
@@ -82,7 +36,6 @@ PointResult ProcessReplayPoint(const TargetFactory& factory,
                                VerdictCache* warm_cache,
                                VerdictCache* session_cache) {
   PointResult r;
-  r.verdict.seq = point.seq;
   const std::vector<uint8_t>& image = cursor->AdvanceTo(point.seq);
 
   bool hit = false;
@@ -113,33 +66,15 @@ PointResult ProcessReplayPoint(const TargetFactory& factory,
   }
 
   if (hit) {
-    r.verdict.status =
-        StatusName(static_cast<RecoveryStatus>(cached.status));
-    r.verdict.detail = cached.detail;
-    r.verdict.signal_name = cached.signal_name;
-    r.verdict.timed_out = cached.timed_out;
-    r.verdict.wall_us = cached.recovery_wall_us;
-    r.verdict.dedup_of = "image " + r.digest.Hex() +
-                         " first checked at seq " +
-                         std::to_string(cached.first_seq);
-    r.verdict.from_cache = true;
+    r.verdict = VerdictFromCache(cached, r.digest);
     return r;
   }
 
-  const OracleRun run = RunPointOracle(sandbox, factory, image);
-  r.verdict.status = StatusName(run.result.status);
-  r.verdict.detail = run.result.detail;
-  r.verdict.signal_name = run.signal_name;
-  r.verdict.timed_out = run.timed_out;
-  r.verdict.wall_us = run.wall_us;
+  r.verdict = RunOracle(sandbox, 0, factory, image.data(), image.size(),
+                        sandbox == nullptr ? image : std::vector<uint8_t>());
   if (fresh_insert) {
     r.insert = true;
-    r.entry.status = static_cast<uint32_t>(run.result.status);
-    r.entry.timed_out = run.timed_out;
-    r.entry.recovery_wall_us = run.wall_us;
-    r.entry.first_seq = point.seq;
-    r.entry.detail = run.result.detail;
-    r.entry.signal_name = run.signal_name;
+    r.entry = CacheEntryFromVerdict(r.verdict, point.seq);
     session_cache->Insert(
         r.digest, r.entry,
         session_cache->verify() ? image.data() : nullptr,

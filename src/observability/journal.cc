@@ -13,6 +13,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/core/verdict_ledger.h"
 #include "src/observability/flat_json.h"
 #include "src/observability/metrics.h"
 
@@ -432,20 +433,15 @@ Finding JournalReplay::FindingFromVerdict(const JournalVerdict& verdict) {
 }
 
 Report JournalReplay::ReconstructReport() const {
-  Report report;
-  // Mirror the engine's first-wins dedup on the verdict detail, in record
-  // (ascending-seq) order, so a journal of a completed campaign yields the
-  // campaign's exact fault-injection findings.
-  std::map<std::string, bool> seen;
+  // The campaign's own fold over the journaled verdicts (seq order, first
+  // per detail wins), so a journal of a completed campaign yields its exact
+  // fault-injection findings whatever the lane count that wrote it.
+  std::vector<const JournalVerdict*> recorded;
+  recorded.reserve(verdicts.size());
   for (const JournalVerdict& verdict : verdicts) {
-    if (verdict.status == "ok") {
-      continue;
-    }
-    if (!seen.emplace(verdict.detail, true).second) {
-      continue;
-    }
-    report.Add(FindingFromVerdict(verdict));
+    recorded.push_back(&verdict);
   }
+  Report report = VerdictLedger::Fold(std::move(recorded));
   for (const Finding& finding : trace_findings) {
     report.Add(finding);
   }

@@ -6,10 +6,10 @@
 #include <set>
 #include <sstream>
 
+#include "src/analysis/trace_analysis.h"
 #include "src/core/failure_point_tree.h"
 #include "src/instrument/deterministic_random.h"
 #include "src/core/mumak.h"
-#include "src/core/trace_analysis.h"
 #include "src/instrument/trace.h"
 #include "src/targets/btree.h"
 

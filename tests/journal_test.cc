@@ -21,6 +21,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fault_injection.h"
@@ -560,6 +561,120 @@ TEST(JournalResume, ResumeComposesWithWarmVerdictCache) {
   EXPECT_EQ(actual, expected);
   std::remove(cache_path.c_str());
   std::remove(journal_path.c_str());
+}
+
+// Reports compared across lane counts: `dedup_of` (which twin image a lane
+// checked first) and the oracle wall time may differ, nothing else.
+std::pair<std::string, std::string> Canonical(const Report& report) {
+  Report canonical;
+  for (Finding finding : report.findings()) {
+    finding.dedup_of.clear();
+    finding.recovery_wall_us = 0;
+    canonical.Add(std::move(finding));
+  }
+  return {canonical.Render(), canonical.RenderJson()};
+}
+
+// The resume composes with lanes: a 4-worker resume of a 1-worker
+// generation folds the recorded and fresh verdicts in seq order, so it
+// equals the uninterrupted 1-worker report.
+TEST(JournalResume, FourWorkerResumeMatchesOneWorkerReference) {
+  const struct {
+    const char* target;
+    const char* bug;
+  } cases[] = {
+      {"btree", "btree.split_unlogged"},
+      {"hashmap_tx", "hashmap_tx.prepend_unlogged"},
+      {"fast_fair", "ff.c1_sibling_link_first"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.target);
+    TargetOptions options;
+    options.pmdk_version = PmdkVersion::k16;
+    options.bugs = {c.bug};
+    WorkloadSpec spec;
+    spec.operations = 300;
+    spec.key_space = 50;
+    for (const InjectionStrategy strategy :
+         {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+      SCOPED_TRACE(strategy == InjectionStrategy::kReplay ? "replay"
+                                                          : "reexec");
+      auto campaign = [&](FaultInjectionOptions fi,
+                          FaultInjectionStats* stats) {
+        fi.strategy = strategy;
+        FaultInjectionEngine engine(Factory(c.target, options), spec, fi);
+        FailurePointTree tree = engine.Profile();
+        return engine.InjectAll(&tree, stats);
+      };
+      FaultInjectionStats reference_stats;
+      const Report uninterrupted = campaign({}, &reference_stats);
+      ASSERT_GT(uninterrupted.BugCount(), 0u);
+
+      const std::string path = TempPath("lanes_resume.mjn");
+      std::string error;
+      {
+        auto journal = CampaignJournal::Create(path, &error);
+        ASSERT_NE(journal, nullptr) << error;
+        FaultInjectionOptions first;
+        first.journal = journal.get();
+        first.max_injections = 7;
+        FaultInjectionStats stats;
+        campaign(first, &stats);
+        journal->Close();
+      }
+      const JournalReplay replay = ReplayJournal(path);
+      ASSERT_TRUE(replay.ok) << replay.error;
+      FaultInjectionOptions second;
+      second.resume = &replay;
+      second.workers = 4;
+      FaultInjectionStats stats;
+      const Report resumed = campaign(second, &stats);
+      EXPECT_EQ(stats.resumed, replay.verdicts.size());
+      EXPECT_EQ(Canonical(resumed), Canonical(uninterrupted));
+      std::remove(path.c_str());
+    }
+  }
+}
+
+// The journal of a multi-lane campaign reconstructs that campaign's report
+// byte for byte: mumak-inspect --from-journal folds the journaled verdicts
+// exactly as the campaign's ledger did, whatever order the lanes landed
+// them in.
+TEST(JournalReconstruct, FourLaneCampaignReconstructsItsReport) {
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {"btree.split_unlogged"};
+  WorkloadSpec spec;
+  spec.operations = 300;
+  spec.key_space = 50;
+  for (const InjectionStrategy strategy :
+       {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+    SCOPED_TRACE(strategy == InjectionStrategy::kReplay ? "replay"
+                                                        : "reexec");
+    const std::string path = TempPath("four_lanes.mjn");
+    std::string error;
+    Report report;
+    {
+      auto journal = CampaignJournal::Create(path, &error);
+      ASSERT_NE(journal, nullptr) << error;
+      FaultInjectionOptions fi;
+      fi.strategy = strategy;
+      fi.workers = 4;
+      fi.journal = journal.get();
+      FaultInjectionEngine engine(Factory("btree", options), spec, fi);
+      FailurePointTree tree = engine.Profile();
+      FaultInjectionStats stats;
+      report = engine.InjectAll(&tree, &stats);
+      journal->Close();
+    }
+    ASSERT_GT(report.BugCount(), 0u);
+    const JournalReplay replay = ReplayJournal(path);
+    ASSERT_TRUE(replay.ok) << replay.error;
+    const Report reconstructed = replay.ReconstructReport();
+    EXPECT_EQ(reconstructed.Render(), report.Render());
+    EXPECT_EQ(reconstructed.RenderJson(), report.RenderJson());
+    std::remove(path.c_str());
+  }
 }
 
 // The cooperative cancel flag stops the campaign at a check boundary.

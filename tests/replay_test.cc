@@ -482,5 +482,100 @@ TEST(AdaptiveSchedule, BudgetChecksStopsDispatchWithinBudget) {
   }
 }
 
+// -- Lane-count determinism ------------------------------------------------
+//
+// Every verdict goes through the VerdictLedger, whose report is the
+// seq-ordered first-per-detail fold of (seq, verdict) pairs, so neither the
+// lane count nor the dispatch order can change it. Only two per-finding
+// fields may legitimately differ: `dedup_of` (which twin image a lane
+// happened to check first) and the oracle wall time.
+
+std::pair<std::string, std::string> Canonical(const Report& report) {
+  Report canonical;
+  for (Finding finding : report.findings()) {
+    finding.dedup_of.clear();
+    finding.recovery_wall_us = 0;
+    canonical.Add(std::move(finding));
+  }
+  return {canonical.Render(), canonical.RenderJson()};
+}
+
+TEST(LaneDeterminism, ReportIndependentOfWorkerCount) {
+  const struct {
+    const char* target;
+    const char* bug;
+  } cases[] = {
+      {"btree", "btree.split_unlogged"},
+      {"hashmap_tx", "hashmap_tx.prepend_unlogged"},
+      {"fast_fair", "ff.c1_sibling_link_first"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.target);
+    TargetOptions options;
+    options.pmdk_version = PmdkVersion::k16;
+    options.bugs = {c.bug};
+    WorkloadSpec spec;
+    spec.operations = 300;
+    spec.key_space = 50;
+    for (const InjectionStrategy strategy :
+         {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+      SCOPED_TRACE(strategy == InjectionStrategy::kReplay ? "replay"
+                                                          : "reexec");
+      FaultInjectionStats one_stats;
+      const Report one =
+          RunInjection(c.target, options, spec, strategy, 1, &one_stats);
+      ASSERT_GT(one.BugCount(), 0u) << "bug " << c.bug << " not triggered";
+      for (const uint32_t workers : {3u, 4u}) {
+        SCOPED_TRACE(workers);
+        FaultInjectionStats stats;
+        const Report many =
+            RunInjection(c.target, options, spec, strategy, workers, &stats);
+        EXPECT_EQ(Canonical(many), Canonical(one));
+        EXPECT_EQ(stats.injections, one_stats.injections);
+      }
+    }
+  }
+}
+
+// A complete ranked campaign checks the same points in another order; the
+// fold still picks the lowest-seq verdict per detail and puts the findings
+// back in seq order (fast_fair under replay lands a higher-seq twin first).
+TEST(LaneDeterminism, RankedRunMatchesUnranked) {
+  const struct {
+    const char* target;
+    const char* bug;
+  } cases[] = {
+      {"btree", "btree.split_unlogged"},
+      {"hashmap_tx", "hashmap_tx.prepend_unlogged"},
+      {"fast_fair", "ff.c1_sibling_link_first"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.target);
+    TargetOptions options;
+    options.pmdk_version = PmdkVersion::k16;
+    options.bugs = {c.bug};
+    WorkloadSpec spec;
+    spec.operations = 300;
+    spec.key_space = 50;
+    for (const InjectionStrategy strategy :
+         {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+      SCOPED_TRACE(strategy == InjectionStrategy::kReplay ? "replay"
+                                                          : "reexec");
+      auto run = [&](bool rank) {
+        FaultInjectionOptions fi;
+        fi.strategy = strategy;
+        fi.rank = rank;
+        FaultInjectionEngine engine(Factory(c.target, options), spec, fi);
+        FailurePointTree tree = engine.Profile();
+        FaultInjectionStats stats;
+        return engine.InjectAll(&tree, &stats);
+      };
+      const Report unranked = run(false);
+      ASSERT_GT(unranked.BugCount(), 0u);
+      EXPECT_EQ(Canonical(run(true)), Canonical(unranked));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mumak
