@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -28,6 +28,11 @@ namespace mumak {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Replay lanes claim checks in chunks of consecutive plan indices, about
+// this many chunks per lane: few enough that claiming is rare, enough that
+// the last chunks still balance the lanes' tails.
+constexpr size_t kChunksPerLane = 8;
 
 uint64_t Micros(Clock::time_point from, Clock::time_point to) {
   return static_cast<uint64_t>(
@@ -72,8 +77,8 @@ struct DedupProbe {
   bool insert = false;
   ImageDigest digest;
   VerdictCacheEntry cached;
-  // Verify mode retains the image bytes for the insert (the oracle may
-  // consume or mutate the buffer it is handed).
+  // Verify mode retains the image bytes for the insert (a pipelined check
+  // lands after its cursor has moved on).
   std::vector<uint8_t> verify_bytes;
 };
 
@@ -131,10 +136,10 @@ class Checker {
          DedupProbe(), classmates, Micros(run_start, Clock::now()), 0);
   }
 
-  // A miss: dispatch, run the oracle on the image in sandbox slot `lane`
-  // (`data`/`size`/`owned` as for RunOracle), land the verdict.
-  void Run(uint32_t lane, const ReplayPoint& point, const uint8_t* data,
-           size_t size, std::vector<uint8_t> owned, const DedupProbe& probe,
+  // A miss: dispatch, run the oracle on `image` (in sandbox slot `lane`
+  // when sandboxed, in place otherwise — see RunOracle), land the verdict.
+  void Run(uint32_t lane, const ReplayPoint& point, std::span<uint8_t> image,
+           const DedupProbe& probe,
            const std::vector<ReplayPoint>& classmates,
            Clock::time_point run_start) {
     ledger_->Dispatch(lane, point);
@@ -142,8 +147,7 @@ class Checker {
     JournalVerdict verdict;
     {
       ScopedSpan recovery_span(tracer_, "recovery", "recovery", lane + 1);
-      verdict = RunOracle(sandbox_, lane, factory_, data, size,
-                          std::move(owned));
+      verdict = RunOracle(sandbox_, lane, factory_, image);
       recovery_span.AddArg("status", verdict.status);
     }
     const auto now = Clock::now();
@@ -218,12 +222,16 @@ class TraceFingerprintSink : public EventSink {
 }  // namespace
 
 JournalVerdict RunOracle(RecoverySandbox* sandbox, uint32_t slot,
-                         const TargetFactory& factory, const uint8_t* data,
-                         size_t size, std::vector<uint8_t> owned) {
+                         const TargetFactory& factory,
+                         std::span<uint8_t> image) {
   if (sandbox != nullptr) {
-    return VerdictFromSandbox(sandbox->Check(slot, data, size));
+    return VerdictFromSandbox(sandbox->Check(slot, image.data(), image.size()));
   }
-  PmPool recovered = PmPool::FromImage(std::move(owned));
+  // Declared before the pool, the undo log outlives it and rolls back every
+  // line recovery committed when this scope ends, on the throw path too.
+  DurableUndoLog undo(image);
+  PmPool recovered = PmPool::FromBorrowedImage(image.data(), image.size());
+  recovered.model().set_undo_log(&undo);
   TargetPtr fresh = factory();
   const RecoveryResult result = RunRecoveryOracle(*fresh, recovered);
   JournalVerdict out;
@@ -472,10 +480,10 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
   RecoverySandbox* sandbox_ptr = sandbox.has_value() ? &*sandbox : nullptr;
   stats->failure_points = tree->FailurePointCount();
   std::vector<ReplayPoint> schedule = BuildReplaySchedule(*tree);
-  // One lane per worker plus the replay producer's own lane (see
-  // InjectReplay). Progress counts every point: replay covers the profiled
-  // schedule, re-execution also the points it matches by call stack.
-  VerdictLedger ledger(options_, tree, options_.workers + 1,
+  // One ledger lane per worker. Progress counts every point: replay covers
+  // the profiled schedule, re-execution also the points it matches by call
+  // stack.
+  VerdictLedger ledger(options_, tree, std::max<uint32_t>(1, options_.workers),
                        resume_schedule_,
                        replay ? schedule.size() : tree->UnvisitedCount());
   if (replay) {
@@ -660,10 +668,7 @@ void FaultInjectionEngine::InjectReExecute(std::vector<ReplayPoint> points,
         checker.Hit(lane_index, point, probe, {}, run_start);
         continue;
       }
-      const uint8_t* data = image.data();
-      const size_t size = image.size();
-      checker.Run(lane_index, point, data, size, std::move(image), probe, {},
-                  run_start);
+      checker.Run(lane_index, point, image, probe, {}, run_start);
     }
   };
 
@@ -721,93 +726,98 @@ void FaultInjectionEngine::InjectReplay(
         ->Set(stats->replay_trace_bytes);
   }
 
-  // Streaming replay: ONE cursor pass synthesizes every crash image in
-  // seq order — O(trace length) total work at any worker count — and the
-  // per-image work (recovery oracle on an uninstrumented fresh pool) fans
-  // out to lanes. No workload re-execution, no call-stack matching.
+  // Crash images are synthesized by forward-only cursors — no workload
+  // re-execution, no call-stack matching — and every in-process check
+  // recovers in place on its cursor's image (RunOracle's undo log hands the
+  // bytes back unchanged), so no check copies a pool.
   Checker checker(&ledger, cache, sandbox, factory_, options_.tracer);
-  auto process_point = [&](uint32_t lane, size_t i, const uint8_t* data,
-                           size_t size, std::vector<uint8_t> owned,
+  auto process_point = [&](uint32_t lane, size_t i, std::span<uint8_t> image,
                            const DedupProbe& probe) {
     const auto run_start = Clock::now();
     ScopedSpan run_span(options_.tracer, "inject", "injection", lane + 1);
     run_span.AddArg("failure_point", uint64_t{points[i].node});
     run_span.AddArg("seq", points[i].seq);
-    checker.Run(lane, points[i], data, size, std::move(owned), probe,
-                classmates[i], run_start);
+    checker.Run(lane, points[i], image, probe, classmates[i], run_start);
   };
   auto record_hit = [&](uint32_t lane, size_t i, const DedupProbe& probe) {
     checker.Hit(lane, points[i], probe, classmates[i], Clock::now());
   };
 
-  // In the parallel paths a duplicate of an image whose check is still in
-  // flight cannot hit the cache yet: the verdict only lands after the
-  // oracle finishes, but the dispatcher streams images far ahead of the
-  // oracles (that is the point of the pipeline). Without this the common
-  // case — flush/fence-adjacent failure points sharing one image — would
-  // re-run the oracle every time and dedup would only fire across runs.
-  // So the dispatcher *defers* such points: they are filed under the
-  // pending digest and resolved from the cache after the pipeline drains.
-  // Verify mode keeps one shared byte copy per pending digest (the same
-  // bytes the original's Insert will store) for the defer-time and
+  // With several checks in flight, a duplicate of an image whose check has
+  // not landed yet cannot hit the cache: its verdict only lands after the
+  // oracle finishes. Without this the common case — flush/fence-adjacent
+  // failure points sharing one image — would re-run the oracle on every
+  // lane that meets it. So such points are *deferred*: filed under the
+  // pending digest and resolved from the cache once every check has
+  // landed. Verify mode keeps one shared byte copy per pending digest (the
+  // same bytes the original's Insert will store) for the defer-time and
   // resolution-time compares.
   struct PendingDigest {
     std::vector<size_t> waiters;
     std::shared_ptr<const std::vector<uint8_t>> bytes;  // verify mode only
   };
   std::unordered_map<ImageDigest, PendingDigest, ImageDigestHash> pending;
-  // Files point `i` under an in-flight digest. False when the digest is not
-  // pending — or, in verify mode, when the bytes differ (a forged twin
-  // must get its own oracle run, mirroring Outcome::kCollision).
-  auto defer_duplicate = [&](size_t i, const std::vector<uint8_t>& image,
-                             const ImageDigest& digest) {
-    if (cache == nullptr) {
+  std::mutex pending_mutex;
+  // After a cache miss: true when point `i` is a twin of an in-flight
+  // digest and was deferred; otherwise its check now owns the digest. One
+  // lock covers both, so lanes run the oracle at most once per digest. In
+  // verify mode a byte mismatch is a forged twin and gets its own oracle
+  // run, mirroring Outcome::kCollision. A lone lane skips all of this: the
+  // check of any earlier twin has already landed.
+  auto defer_or_claim = [&](size_t i, const std::vector<uint8_t>& image,
+                            const DedupProbe& probe) {
+    if (cache == nullptr || thread_count == 1) {
       return false;
     }
-    const auto it = pending.find(digest);
+    std::lock_guard<std::mutex> lock(pending_mutex);
+    const auto it = pending.find(probe.digest);
     if (it == pending.end()) {
+      if (probe.insert) {
+        PendingDigest entry;
+        if (cache->verify()) {
+          entry.bytes = std::make_shared<const std::vector<uint8_t>>(image);
+        }
+        pending.emplace(probe.digest, std::move(entry));
+      }
       return false;
     }
     if (cache->verify() && it->second.bytes != nullptr &&
-        (it->second.bytes->size() != image.size() ||
-         std::memcmp(it->second.bytes->data(), image.data(), image.size()) !=
-             0)) {
+        *it->second.bytes != image) {
       InjectionMetrics::Add(im.dedup_collisions);
       return false;
     }
     it->second.waiters.push_back(i);
     return true;
   };
-  // Marks a dispatched check's digest as in flight.
-  auto register_pending = [&](const DedupProbe& probe,
-                              const std::vector<uint8_t>& image) {
-    if (cache == nullptr || !probe.insert) {
-      return;
-    }
-    PendingDigest entry;
-    if (cache->verify()) {
-      entry.bytes = std::make_shared<const std::vector<uint8_t>>(image);
-    }
-    pending.emplace(probe.digest, std::move(entry));
+
+  // Every cursor starts from the zeroed pool; with dedup on they share one
+  // hash of it instead of each rehashing every line.
+  std::optional<ReplayCursor::ZeroDigest> zero;
+  if (cache != nullptr) {
+    zero = ReplayCursor::HashZeroPool(profiled_pool_size_);
+  }
+  auto fresh_cursor = [&] {
+    return zero.has_value()
+               ? ReplayCursor(replay_trace_, profiled_pool_size_, *zero)
+               : ReplayCursor(replay_trace_, profiled_pool_size_);
   };
-  // Checkpoints captured during the streaming pass below; the deferred
-  // resolver seeks to the nearest one instead of replaying from zero. Only
-  // worth the image copies when dedup can defer points at all. Ranked
-  // dispatch also seeks (every check starts from a checkpoint), so the
-  // index is kept even without dedup in that mode.
-  ReplaySeekIndex seek_index(
-      &replay_trace_, cache != nullptr || !plan.seq_ordered
-                          ? options_.seek_checkpoints
-                          : 0);
+  // Checkpoints for the paths that seek: ranked dispatch (every check
+  // starts from one) and the pipelined fork-server's deferred resolver.
+  // The lane loop never seeks — its deferred points resolve from the cache
+  // — so it pays no pool-sized checkpoint copies.
+  const bool pipelined_server =
+      thread_count > 1 && sandbox != nullptr &&
+      sandbox->policy() == SandboxPolicy::kForkServer;
+  const bool seeks =
+      !plan.seq_ordered || (pipelined_server && cache != nullptr);
+  ReplaySeekIndex seek_index(&replay_trace_,
+                             seeks ? options_.seek_checkpoints : 0);
   // Attributes every deferred point from the (now settled) cache, in seq
   // order. Deferred points already hold a budget reservation, so this
   // only re-reads the gate. A digest can still miss here if the
   // original's dispatch failed (no verdict was ever inserted) — those
   // points get a fresh cursor pass and a real oracle run.
   auto resolve_deferred = [&] {
-    if (pending.empty()) {
-      return;
-    }
     struct Deferred {
       size_t index;
       ImageDigest digest;
@@ -854,33 +864,20 @@ void FaultInjectionEngine::InjectReplay(
         record_hit(0, d.index, fresh);
         continue;
       }
-      std::vector<uint8_t> owned;
-      if (sandbox == nullptr) {
-        owned = image;
-      }
-      process_point(0, d.index, image.data(), image.size(), std::move(owned),
-                    fresh);
+      process_point(0, d.index, fallback->borrow_image(), fresh);
     }
   };
 
-  // The cursor maintains the image digest incrementally (O(lines dirtied)
-  // per failure point) whenever dedup is on — the cheapest digest source of
-  // any injection path.
-  ReplayCursor cursor(replay_trace_, profiled_pool_size_,
-                      /*track_digest=*/cache != nullptr);
   if (!plan.seq_ordered) {
-    // Ranked dispatch (--rank): checks leave seq order, which the single
-    // streaming pass the paths below share cannot feed (the cursor only
-    // advances forward). Instead one capture prepass walks the trace once
-    // to populate the seek index — the same O(trace length) cost as the
-    // streaming pass — and every check then synthesizes its image from the
-    // nearest checkpoint. This trades the pipelined oracle overlap for
-    // highest-expected-yield ordering: the point of ranking is budgeted
-    // campaigns, where which checks run before the stop matters more than
-    // aggregate throughput.
+    // Ranked dispatch (--rank): checks leave seq order, which a forward-
+    // only cursor cannot feed. Instead one capture prepass walks the trace
+    // once to populate the seek index, and every check then synthesizes
+    // its image from the nearest checkpoint. This trades lane parallelism
+    // for highest-expected-yield ordering: the point of ranking is
+    // budgeted campaigns, where which checks run before the stop matters
+    // more than aggregate throughput.
     {
-      ReplayCursor scout(replay_trace_, profiled_pool_size_,
-                         /*track_digest=*/cache != nullptr);
+      ReplayCursor scout = fresh_cursor();
       for (const ReplayPoint& point : schedule) {
         scout.AdvanceTo(point.seq);
         seek_index.MaybeCapture(scout);
@@ -899,46 +896,18 @@ void FaultInjectionEngine::InjectReplay(
         record_hit(0, i, probe);
         continue;
       }
-      std::vector<uint8_t> owned;
-      if (sandbox == nullptr) {
-        owned = image;  // PmPool::FromImage takes ownership
-      }
-      process_point(0, i, image.data(), image.size(), std::move(owned),
-                    probe);
+      process_point(0, i, synth->borrow_image(), probe);
     }
-  } else if (thread_count <= 1) {
-    // Inline, seq-ascending. Sandboxed checks read the cursor's image in
-    // place (fork-per-check children via copy-on-write; the fork-server
-    // copies it into slot 0's shared buffer) — no snapshot vector needed.
-    for (size_t i = 0; i < points.size() && ledger.Admit(); ++i) {
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-      seek_index.MaybeCapture(cursor);
-      const DedupProbe probe = checker.Probe(
-          image.data(), image.size(), [&] { return cursor.Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      std::vector<uint8_t> owned;
-      if (sandbox == nullptr) {
-        owned = image;  // PmPool::FromImage takes ownership
-      }
-      process_point(0, i, image.data(), image.size(), std::move(owned),
-                    probe);
-    }
-  } else if (sandbox != nullptr &&
-             sandbox->policy() == SandboxPolicy::kForkServer) {
+  } else if (pipelined_server) {
     // Pipelined fork-server: the worker *processes* are the parallelism,
-    // so no consumer threads are needed. This one thread streams the
-    // cursor, writes each image directly into a free slot's shared buffer
-    // (the same one copy per injection the in-process queue pays), and
+    // so no lane threads are needed. This one thread streams the cursor,
+    // writes each image directly into a free slot's shared buffer, and
     // dispatches the check without blocking (StartServerCheck); up to
     // `thread_count` workers then run recovery concurrently. Verdicts are
     // collected in dispatch order — head-of-line collection is harmless
     // because a slow check keeps only its own worker busy, and
     // FinishServerCheck drains verdicts that arrived while we waited.
-    // Compared to a mailbox of consumer threads this removes every
-    // cross-thread handoff from the per-check path.
+    ReplayCursor cursor = fresh_cursor();
     struct InFlight {
       size_t index = 0;
       Clock::time_point dispatched;
@@ -984,7 +953,7 @@ void FaultInjectionEngine::InjectReplay(
         record_hit(0, i, probe);
         continue;
       }
-      if (defer_duplicate(i, image, probe.digest)) {
+      if (defer_or_claim(i, image, probe)) {
         continue;  // twin of an in-flight check: attributed after the drain
       }
       if (collect_order.size() == depth) {
@@ -1000,12 +969,12 @@ void FaultInjectionEngine::InjectReplay(
       if (!sandbox->StartServerCheck(slot, /*data=*/nullptr, image.size(),
                                      &error)) {
         // No worker available: the error verdict IS the outcome. Not an
-        // image-determined verdict, so it is never cached.
+        // image-determined verdict, so it is never cached (twins deferred
+        // on its digest miss at resolution and get their own check).
         checker.Land(slot, points[i], VerdictFromSandbox(error), DedupProbe(),
                      classmates[i], 0, 0);
         continue;
       }
-      register_pending(probe, image);
       inflight[slot] = {i, Clock::now(), std::move(probe)};
       busy[slot] = true;
       collect_order.push_back(slot);
@@ -1015,81 +984,39 @@ void FaultInjectionEngine::InjectReplay(
     }
     resolve_deferred();
   } else {
-    // Producer/consumer: this thread advances the cursor and snapshots
-    // each image into a bounded queue; consumer lanes drain it and run the
-    // oracle. The budget is enforced at the producer, so at most the
-    // queued backlog (<= queue capacity) lands after exhaustion. The
-    // producer's own cache hits land on the lane past the consumers, so
-    // no ledger lane is ever shared between threads.
-    struct Job {
-      size_t index = 0;
-      std::vector<uint8_t> image;
-      DedupProbe probe;  // pending cache insert, committed by the consumer
-    };
-    std::deque<Job> queue;
-    std::mutex queue_mutex;
-    std::condition_variable queue_filled, queue_drained;
-    bool producer_done = false;
-    const size_t queue_cap = 2 * thread_count;
-    const uint32_t producer_lane = thread_count;
-
-    auto consume = [&](uint32_t lane) {
-      for (;;) {
-        Job job;
-        {
-          std::unique_lock<std::mutex> lock(queue_mutex);
-          queue_filled.wait(lock,
-                            [&] { return producer_done || !queue.empty(); });
-          if (queue.empty()) {
+    // Lanes: each owns a cursor and claims chunks of consecutive checks
+    // from a shared counter, so its cursor only moves forward; lane 0 is
+    // the calling thread. Each lane walks the trace once — O(lanes × trace)
+    // synthesis in total — and probes, defers and runs its own checks, so
+    // nothing crosses threads per check but the cache and the pending map.
+    const size_t chunk = std::max<size_t>(
+        1, points.size() / (size_t{thread_count} * kChunksPerLane));
+    std::atomic<size_t> next_chunk{0};
+    auto lane = [&](uint32_t lane_index) {
+      ReplayCursor cursor = fresh_cursor();
+      for (size_t begin = next_chunk.fetch_add(chunk);
+           begin < points.size(); begin = next_chunk.fetch_add(chunk)) {
+        const size_t end = std::min(points.size(), begin + chunk);
+        for (size_t i = begin; i < end; ++i) {
+          if (!ledger.Admit()) {
             return;
           }
-          job = std::move(queue.front());
-          queue.pop_front();
+          const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
+          const DedupProbe probe = checker.Probe(
+              image.data(), image.size(), [&] { return cursor.Digest(); });
+          if (probe.hit) {
+            record_hit(lane_index, i, probe);
+          } else if (!defer_or_claim(i, image, probe)) {
+            process_point(lane_index, i, cursor.borrow_image(), probe);
+          }
         }
-        queue_drained.notify_one();
-        // Pin the buffer pointer before moving the vector: the move steals
-        // the same heap buffer, so the pointer stays valid (a sandboxed
-        // fork-per-check child reads it via copy-on-write; in-process the
-        // moved vector feeds PmPool::FromImage).
-        const uint8_t* data = job.image.data();
-        const size_t size = job.image.size();
-        process_point(lane, job.index, data, size, std::move(job.image),
-                      job.probe);
       }
     };
     std::vector<std::thread> threads;
-    threads.reserve(thread_count);
-    for (uint32_t i = 0; i < thread_count; ++i) {
-      threads.emplace_back(consume, i);
+    for (uint32_t i = 1; i < thread_count; ++i) {
+      threads.emplace_back(lane, i);
     }
-    for (size_t i = 0; i < points.size() && ledger.Admit(); ++i) {
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-      seek_index.MaybeCapture(cursor);
-      // Probe at the producer: a hit never snapshots the image or touches
-      // the queue, and a twin of a digest already queued or at a consumer
-      // is deferred instead of enqueued (the verdict it needs is still
-      // being computed).
-      DedupProbe probe = checker.Probe(image.data(), image.size(),
-                                       [&] { return cursor.Digest(); });
-      if (probe.hit) {
-        record_hit(producer_lane, i, probe);
-        continue;
-      }
-      if (defer_duplicate(i, image, probe.digest)) {
-        continue;
-      }
-      register_pending(probe, image);
-      std::unique_lock<std::mutex> lock(queue_mutex);
-      queue_drained.wait(lock, [&] { return queue.size() < queue_cap; });
-      queue.push_back({i, std::vector<uint8_t>(image), std::move(probe)});
-      lock.unlock();
-      queue_filled.notify_one();
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      producer_done = true;
-    }
-    queue_filled.notify_all();
+    lane(0);
     for (std::thread& thread : threads) {
       thread.join();
     }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -158,10 +159,11 @@ struct FaultInjectionOptions {
   // distinct image and only honour a digest hit when the bytes match.
   bool verify_dedup = false;
   // Replay seek index (src/pmem/replay_seek_index.h): image checkpoints
-  // captured at up to this many block-aligned positions during the
-  // streaming replay pass, so the deferred-dedup resolver starts its
-  // synthesis at the nearest checkpoint instead of replaying the whole
-  // prefix. Each checkpoint copies the pool image once; 0 disables.
+  // captured at up to this many block-aligned positions by the replay
+  // paths that seek (ranked dispatch, the pipelined fork-server's
+  // deferred-dedup resolver), which start synthesis at the nearest
+  // checkpoint instead of replaying the whole prefix. Each checkpoint
+  // copies the pool image once; 0 disables.
   uint32_t seek_checkpoints = 4;
   // When non-empty, the verdict cache is loaded from / saved to this path,
   // keyed by a fingerprint of the profiled trace — repeated campaigns over
@@ -278,15 +280,15 @@ struct FaultInjectionStats {
 // Runs the recovery oracle on one crash image, in-process when `sandbox` is
 // null and in sandbox slot `slot` otherwise, and returns its verdict
 // (status, detail, sandbox evidence; seq, worker and location are stamped
-// by the ledger). `data`/`size` always describe the image bytes; `data ==
-// nullptr` means the caller already wrote them into the slot's shared
-// buffer (fork-server zero-copy path). `owned` must hold the image when
-// running in-process (PmPool::FromImage takes ownership); sandboxed runs
-// may pass it empty and let `data` reference any stable buffer.
-// In-process verdicts carry no sandbox evidence (wall_us stays 0).
+// by the ledger). In-process, recovery runs in place on `image`
+// (PmPool::FromBorrowedImage) with an undo log that restores every line it
+// committed before returning, even if recovery throws — so a cursor's
+// image and its incremental digest come back unchanged, and no check
+// copies the pool. Sandboxed runs only read `image`. In-process verdicts
+// carry no sandbox evidence (wall_us stays 0).
 JournalVerdict RunOracle(RecoverySandbox* sandbox, uint32_t slot,
-                         const TargetFactory& factory, const uint8_t* data,
-                         size_t size, std::vector<uint8_t> owned);
+                         const TargetFactory& factory,
+                         std::span<uint8_t> image);
 
 // A cached verdict standing in for an oracle run. Graceful-image equality
 // implies verdict equality (recovery is deterministic on the image bytes);

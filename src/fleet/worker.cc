@@ -70,8 +70,7 @@ PointResult ProcessReplayPoint(const TargetFactory& factory,
     return r;
   }
 
-  r.verdict = RunOracle(sandbox, 0, factory, image.data(), image.size(),
-                        sandbox == nullptr ? image : std::vector<uint8_t>());
+  r.verdict = RunOracle(sandbox, 0, factory, cursor->borrow_image());
   if (fresh_insert) {
     r.insert = true;
     r.entry = CacheEntryFromVerdict(r.verdict, point.seq);

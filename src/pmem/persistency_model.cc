@@ -6,6 +6,23 @@
 
 namespace mumak {
 
+void DurableUndoLog::Save(uint64_t line) {
+  const uint64_t base = line * kCacheLineSize;
+  assert(base + kCacheLineSize <= durable_.size());
+  Saved& saved = saved_.emplace_back();
+  saved.line = line;
+  std::memcpy(saved.bytes.data(), durable_.data() + base, kCacheLineSize);
+}
+
+void DurableUndoLog::RollBack() {
+  // Newest first: a line saved twice ends with its oldest pre-image.
+  for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
+    std::memcpy(durable_.data() + it->line * kCacheLineSize,
+                it->bytes.data(), kCacheLineSize);
+  }
+  saved_.clear();
+}
+
 PersistencyModel::PersistencyModel(size_t pool_size)
     : durable_owned_(pool_size, 0), durable_(durable_owned_) {}
 
@@ -98,6 +115,9 @@ void PersistencyModel::CommitLineToDurable(
     uint64_t line, const std::array<uint8_t, kCacheLineSize>& data) {
   const uint64_t base = line * kCacheLineSize;
   assert(base + kCacheLineSize <= durable_.size());
+  if (undo_ != nullptr) {
+    undo_->Save(line);
+  }
   std::memcpy(durable_.data() + base, data.data(), kCacheLineSize);
   ++stats_.committed_lines;
 }

@@ -29,6 +29,36 @@ inline constexpr uint64_t LineBase(uint64_t offset) {
 }
 
 // Aggregate persistency statistics, used by resource accounting and tests.
+// Pre-images of the durable lines a model overwrote, for recovery run in
+// place on a borrowed image (PersistencyModel::FromBorrowedDurable) whose
+// owner needs its bytes back afterwards. Destroying the log writes every
+// saved line back, newest first, so the borrowed bytes end exactly as they
+// started even when recovery throws. Must outlive any model it is attached
+// to (declare it before the model or pool).
+class DurableUndoLog {
+ public:
+  explicit DurableUndoLog(std::span<uint8_t> durable) : durable_(durable) {}
+  ~DurableUndoLog() { RollBack(); }
+  DurableUndoLog(const DurableUndoLog&) = delete;
+  DurableUndoLog& operator=(const DurableUndoLog&) = delete;
+
+  // Saves the current content of `line` before it is overwritten.
+  void Save(uint64_t line);
+
+  // Restores every saved line, newest first, and empties the log.
+  void RollBack();
+
+  size_t saved_lines() const { return saved_.size(); }
+
+ private:
+  struct Saved {
+    uint64_t line;
+    std::array<uint8_t, kCacheLineSize> bytes;
+  };
+  std::span<uint8_t> durable_;
+  std::vector<Saved> saved_;
+};
+
 struct ModelStats {
   uint64_t stores = 0;
   uint64_t nt_stores = 0;
@@ -49,10 +79,16 @@ class PersistencyModel {
   static PersistencyModel FromDurableImage(std::vector<uint8_t> image);
 
   // Same, but the durable medium is caller-owned memory viewed in place —
-  // no copy. Used by the sandbox worker to run recovery directly on the
-  // shared-memory crash image. The memory must outlive the model; stores
-  // committed by recovery are written through to it.
+  // no copy (recovery on a sandbox slot's or a replay cursor's image). The
+  // memory must outlive the model; stores committed by recovery are
+  // written through to it (and logged first under set_undo_log).
   static PersistencyModel FromBorrowedDurable(uint8_t* data, size_t size);
+
+  // When set, every durable-line write first saves the line's previous
+  // bytes into `log` (which must view the same durable memory), so the
+  // caller can roll a borrowed image back. Null (the default) writes
+  // through with no log.
+  void set_undo_log(DurableUndoLog* log) { undo_ = log; }
 
   size_t pool_size() const { return durable_.size(); }
 
@@ -136,6 +172,8 @@ class PersistencyModel {
   void SnapshotLine(uint64_t line, std::array<uint8_t, kCacheLineSize>* out)
       const;
 
+  // The only writer of durable bytes (and so the only place the undo log
+  // needs to hook).
   void CommitLineToDurable(uint64_t line,
                            const std::array<uint8_t, kCacheLineSize>& data);
 
@@ -154,6 +192,7 @@ class PersistencyModel {
   // Write pending queue: line snapshots awaiting a fence.
   std::unordered_map<uint64_t, CacheLine> wpq_;
   ModelStats stats_;
+  DurableUndoLog* undo_ = nullptr;
 };
 
 }  // namespace mumak

@@ -34,9 +34,10 @@ class PmPool {
   }
 
   // Opens a pool whose durable medium is caller-owned memory viewed in
-  // place — no copy. The sandbox worker uses this to run recovery directly
-  // on the shared-memory crash image. The memory must outlive the pool;
-  // recovery's committed stores are written through to it.
+  // place — no copy. Recovery runs this way on the sandbox's shared-memory
+  // crash image and, with a DurableUndoLog attached, on the in-process
+  // oracle's borrowed image. The memory must outlive the pool; recovery's
+  // committed stores are written through to it.
   static PmPool FromBorrowedImage(uint8_t* data, size_t size) {
     return PmPool(PersistencyModel::FromBorrowedDurable(data, size));
   }

@@ -16,25 +16,44 @@ size_t LineCount(size_t pool_size) {
 
 }  // namespace
 
-ReplayCursor::ReplayCursor(const RecordedTrace& trace, size_t pool_size,
-                           bool track_digest)
-    : trace_(trace), image_(pool_size, 0), track_digest_(track_digest) {
-  if (!track_digest_) {
-    return;
-  }
-  // One O(pool) pass over the zeroed image seeds the line-hash table; every
-  // later update is O(delta) via the dirty set.
+ReplayCursor::ZeroDigest ReplayCursor::HashZeroPool(size_t pool_size) {
+  // Hashes one zero line per index rather than a zeroed pool: every line of
+  // a fresh pool has the same content, only the index (and the possibly
+  // short final line's length) differs.
+  static constexpr uint8_t kZeroLine[kCacheLineSize] = {};
+  ZeroDigest zero;
   const size_t lines = LineCount(pool_size);
-  line_hashes_.resize(lines);
-  dirty_epoch_.assign(lines, 0);
+  zero.line_hashes.resize(lines);
   for (size_t line = 0; line < lines; ++line) {
     const size_t at = line * kCacheLineSize;
     const size_t len =
-        image_.size() - at < kCacheLineSize ? image_.size() - at
-                                            : kCacheLineSize;
-    line_hashes_[line] = HashImageLine(image_.data() + at, len, line);
-    DigestToggleLine(&digest_, line_hashes_[line]);
+        pool_size - at < kCacheLineSize ? pool_size - at : kCacheLineSize;
+    zero.line_hashes[line] = HashImageLine(kZeroLine, len, line);
+    DigestToggleLine(&zero.digest, zero.line_hashes[line]);
   }
+  return zero;
+}
+
+ReplayCursor::ReplayCursor(const RecordedTrace& trace, size_t pool_size,
+                           bool track_digest)
+    : trace_(trace), image_(pool_size, 0) {
+  if (track_digest) {
+    StartTracking(HashZeroPool(pool_size));
+  }
+}
+
+ReplayCursor::ReplayCursor(const RecordedTrace& trace, size_t pool_size,
+                           const ZeroDigest& zero)
+    : trace_(trace), image_(pool_size, 0) {
+  StartTracking(zero);
+}
+
+void ReplayCursor::StartTracking(ZeroDigest zero) {
+  assert(zero.line_hashes.size() == LineCount(image_.size()));
+  track_digest_ = true;
+  line_hashes_ = std::move(zero.line_hashes);
+  digest_ = zero.digest;
+  dirty_epoch_.assign(line_hashes_.size(), 0);
 }
 
 ReplayCursor::ReplayCursor(const RecordedTrace& trace, Checkpoint checkpoint)

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/instrument/trace.h"
@@ -37,6 +38,21 @@ class ReplayCursor {
   // incrementally.
   ReplayCursor(const RecordedTrace& trace, size_t pool_size,
                bool track_digest = false);
+
+  // Line-hash table and digest of a zeroed pool: the state every
+  // digest-tracking cursor starts from. Built once (O(pool) hashing, no
+  // pool-sized buffer) and shared, so each further cursor pays a table copy
+  // instead of the rehash.
+  struct ZeroDigest {
+    std::vector<uint64_t> line_hashes;
+    ImageDigest digest;
+  };
+  static ZeroDigest HashZeroPool(size_t pool_size);
+
+  // A digest-tracking cursor over a zeroed `pool_size` image, seeded from
+  // `zero` (which must come from HashZeroPool(pool_size)).
+  ReplayCursor(const RecordedTrace& trace, size_t pool_size,
+               const ZeroDigest& zero);
 
   // Snapshot of cursor state. A parallel injection run has one scout
   // cursor record a checkpoint at each worker's slice boundary, so the
@@ -73,6 +89,12 @@ class ReplayCursor {
   // The image for the most recent AdvanceTo (initial image before any call).
   const std::vector<uint8_t>& image() const { return image_; }
 
+  // The same bytes, writable: recovery runs in place on them (RunOracle).
+  // The borrower must restore every byte before the next AdvanceTo,
+  // Digest or MakeCheckpoint — the line-hash table describes the image as
+  // synthesized.
+  std::span<uint8_t> borrow_image() { return image_; }
+
   // Number of trace events consumed so far.
   size_t consumed() const { return next_; }
 
@@ -84,6 +106,9 @@ class ReplayCursor {
   ImageDigest Digest() const;
 
  private:
+  // Turns digest tracking on from a zeroed image's hash state.
+  void StartTracking(ZeroDigest zero);
+
   // Rehashes dirty lines and folds them into digest_.
   void SettleDirtyLines() const;
 

@@ -1,13 +1,13 @@
 // Sparse checkpoint index over a recorded trace, so a synthesis pass can
 // start near an arbitrary instruction counter instead of replaying from
-// zero. The replay engine's streaming pass already walks the whole trace
-// once (the cursor visits every failure point in seq order); this index
-// piggybacks on that pass, capturing a handful of image checkpoints at
-// block-aligned event indices as the cursor crosses them. A later
-// out-of-order consumer — today the deferred-dedup resolver, which needs
-// images for points the pipelined pass skipped — then seeks: it resumes a
-// cursor from the latest checkpoint at or before its target seq, paying
-// O(target - checkpoint) store patches instead of O(target).
+// zero. A streaming pass that walks the whole trace once (the cursor
+// visits every failure point in seq order) feeds it, and it captures a
+// handful of image checkpoints at block-aligned event indices as the
+// cursor crosses them. A later out-of-order consumer — ranked dispatch,
+// the pipelined fork-server's deferred-dedup resolver, a fleet worker
+// starting a shard — then seeks: it resumes a cursor from the latest
+// checkpoint at or before its target seq, paying O(target - checkpoint)
+// store patches instead of O(target).
 //
 // Capture cost is one image (plus line-hash table) copy per checkpoint,
 // bounded by max_checkpoints; with the default 4 that is a few pool-sized

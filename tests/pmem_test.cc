@@ -4,6 +4,8 @@
 
 #include <cstring>
 #include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/trace.h"
@@ -288,6 +290,121 @@ TEST(PmPool, FromImageStartsWithEmptyVolatileState) {
   EXPECT_EQ(recovered.ReadU64(0), 5u);
   EXPECT_EQ(recovered.model().dirty_line_count(), 0u);
   EXPECT_EQ(recovered.model().wpq_line_count(), 0u);
+}
+
+// -- In-place recovery on a borrowed image ----------------------------------
+//
+// The in-process oracle recovers directly on the caller's bytes with an
+// undo log attached; destroying the log must hand back every byte, whatever
+// instruction made a line durable.
+
+std::vector<uint8_t> PatternImage(size_t size) {
+  DeterministicRandom rng(0x5eed);
+  std::vector<uint8_t> image(size);
+  for (uint8_t& byte : image) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  return image;
+}
+
+TEST(DurableUndoLog, RestoresEveryCommitKind) {
+  const struct {
+    const char* name;
+    void (*commit)(PmPool&);
+  } kinds[] = {
+      {"store+clflush",
+       [](PmPool& pool) {
+         pool.WriteU64(64, 1);
+         pool.Clflush(64);
+       }},
+      {"nt-store+fence",
+       [](PmPool& pool) {
+         const uint8_t bytes[16] = {1, 2, 3, 4, 5, 6, 7, 8,
+                                    9, 10, 11, 12, 13, 14, 15, 16};
+         pool.WriteNt(200, bytes, sizeof(bytes));
+         pool.Sfence();
+       }},
+      {"clwb+fence",
+       [](PmPool& pool) {
+         pool.WriteU64(512, 3);
+         pool.Clwb(512);
+         pool.Sfence();
+       }},
+      {"clflushopt+fence",
+       [](PmPool& pool) {
+         pool.WriteU64(768, 4);
+         pool.ClflushOpt(768);
+         pool.Mfence();
+       }},
+      {"rmw as the fence",
+       [](PmPool& pool) {
+         // An RMW drains the WPQ like a fence; its own store stays cached
+         // until flushed, so the second RMW commits the first one's line.
+         pool.WriteU64(1024, 5);
+         pool.Clwb(1024);
+         pool.RmwAdd(1088, 1);
+         pool.Clwb(1088);
+         pool.RmwCas(1152, pool.ReadU64(1152), 6);
+       }},
+      {"multi-line persist, same line twice",
+       [](PmPool& pool) {
+         pool.Memset(2000, 0xab, 300);
+         pool.PersistRange(2000, 300);
+         pool.WriteU64(2048, 7);
+         pool.PersistRange(2048, 8);
+       }},
+  };
+  const std::vector<uint8_t> original = PatternImage(8192);
+  for (const auto& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    std::vector<uint8_t> image = original;
+    {
+      DurableUndoLog undo(image);
+      PmPool pool = PmPool::FromBorrowedImage(image.data(), image.size());
+      pool.model().set_undo_log(&undo);
+      kind.commit(pool);
+      // A store that is never flushed stays volatile: not logged, and the
+      // borrowed bytes never see it.
+      pool.WriteU64(4096, 0);
+      EXPECT_GT(undo.saved_lines(), 0u);
+      EXPECT_NE(image, original) << "commits write through to the borrow";
+      EXPECT_EQ(std::memcmp(image.data() + 4096, original.data() + 4096, 8),
+                0);
+    }
+    EXPECT_EQ(image, original);
+  }
+}
+
+TEST(DurableUndoLog, RestoresWhenRecoveryThrows) {
+  const std::vector<uint8_t> original = PatternImage(4096);
+  std::vector<uint8_t> image = original;
+  EXPECT_THROW(
+      {
+        DurableUndoLog undo(image);
+        PmPool pool = PmPool::FromBorrowedImage(image.data(), image.size());
+        pool.model().set_undo_log(&undo);
+        pool.WriteU64(128, 42);
+        pool.PersistRange(128, 8);
+        pool.WriteU64(136, 43);
+        pool.Clwb(136);  // in the WPQ when recovery dies: never committed
+        throw std::runtime_error("recovery failed mid-way");
+      },
+      std::runtime_error);
+  EXPECT_EQ(image, original);
+}
+
+TEST(DurableUndoLog, WithoutALogCommitsStayInTheBorrowedBytes) {
+  // The sandbox child's contract: its image is disposable, so recovery
+  // writes through with no log.
+  std::vector<uint8_t> image(4096, 0);
+  {
+    PmPool pool = PmPool::FromBorrowedImage(image.data(), image.size());
+    pool.WriteU64(64, 9);
+    pool.PersistRange(64, 8);
+  }
+  uint64_t value = 0;
+  std::memcpy(&value, image.data() + 64, sizeof(value));
+  EXPECT_EQ(value, 9u);
 }
 
 }  // namespace

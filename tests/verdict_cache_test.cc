@@ -159,6 +159,45 @@ TEST(DedupProperty, ParallelAndVerifyModesPreserveUniqueBugs) {
   EXPECT_GT(verify_stats.dedup_hits, 0u);
 }
 
+// Four replay lanes share one cache and one pending-digest map: every
+// injection is still exactly one fresh oracle run or one cache attribution,
+// and each distinct image is checked once — the same oracle-run count as a
+// single lane, with the same findings.
+TEST(DedupProperty, FourReplayLanesRunTheOracleOncePerImage) {
+  const struct {
+    const char* target;
+    const char* bug;
+  } cases[] = {
+      {"btree", "btree.split_unlogged"},
+      {"hashmap_tx", "hashmap_tx.prepend_unlogged"},
+      {"fast_fair", "ff.c1_sibling_link_first"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.target);
+    TargetOptions options;
+    options.pmdk_version = PmdkVersion::k16;
+    options.bugs = {c.bug};
+    WorkloadSpec spec;
+    spec.operations = 300;
+    spec.key_space = 50;
+
+    FaultInjectionStats one_stats, four_stats;
+    const Report one = RunCampaign(c.target, options, spec,
+                                   InjectionStrategy::kReplay, 1,
+                                   /*image_dedup=*/true, &one_stats);
+    const Report four = RunCampaign(c.target, options, spec,
+                                    InjectionStrategy::kReplay, 4,
+                                    /*image_dedup=*/true, &four_stats);
+    EXPECT_GT(four.BugCount(), 0u) << "bug " << c.bug << " not triggered";
+    ExpectSameFindings(one, four);
+    EXPECT_EQ(four_stats.injections, one_stats.injections);
+    EXPECT_EQ(four_stats.distinct_images + four_stats.dedup_hits,
+              four_stats.injections);
+    EXPECT_EQ(four_stats.distinct_images, one_stats.distinct_images);
+    EXPECT_GT(four_stats.dedup_hits, 0u);
+  }
+}
+
 // -- 2. The cache object -----------------------------------------------------
 
 VerdictCacheEntry SampleEntry(const std::string& detail, uint64_t seq) {
