@@ -83,21 +83,24 @@ struct DedupProbe {
 };
 
 // The per-check steps every in-process injection path shares, from "the
-// crash image exists" to "the ledger has its verdict".
+// crash image exists" to "the ledger has its verdict", plus the deferral of
+// twins of an in-flight digest.
 class Checker {
  public:
+  // `lanes` is the number of lanes that check concurrently.
   Checker(VerdictLedger* ledger, VerdictCache* cache, RecoverySandbox* sandbox,
-          const TargetFactory& factory, SpanTracer* tracer)
+          const TargetFactory& factory, SpanTracer* tracer, uint32_t lanes)
       : ledger_(ledger),
         cache_(cache),
         sandbox_(sandbox),
         factory_(factory),
-        tracer_(tracer) {}
+        tracer_(tracer),
+        lanes_(lanes) {}
 
-  // Digest + lookup. `digest_fn` supplies the digest: the replay path reads
-  // the cursor's incrementally-maintained digest (O(lines dirtied)); the
-  // re-execute path hashes the full image (one scan, still far below an
-  // oracle run).
+  // Digest + lookup. `digest_fn` supplies the digest in O(lines changed):
+  // the replay path reads the cursor's incrementally-maintained digest, the
+  // re-execute path folds the lines its recycled pool wrote into the
+  // zero-pool digest.
   template <typename DigestFn>
   DedupProbe Probe(const uint8_t* image, size_t size, DigestFn&& digest_fn) {
     DedupProbe probe;
@@ -176,12 +179,109 @@ class Checker {
     ledger_->Verdict(lane, point, std::move(verdict), classmates);
   }
 
+  // With several checks in flight, a duplicate of an image whose check has
+  // not landed yet cannot hit the cache: its verdict only lands after the
+  // oracle finishes. Without deferral the common case — flush/fence-
+  // adjacent failure points sharing one image — would re-run the oracle on
+  // every lane that meets it. So after a cache miss this returns true when
+  // check `index` (at `point`) is a twin of an in-flight digest and files
+  // it under that digest for ResolveDeferred; otherwise the caller's check
+  // now owns the digest. One lock covers both, so lanes run the oracle at
+  // most once per digest. Verify mode keeps one shared byte copy per
+  // pending digest (the bytes the original's Insert will store): a byte
+  // mismatch is a forged twin and gets its own oracle run, mirroring
+  // Outcome::kCollision. A lone lane skips all of this: the check of any
+  // earlier twin has already landed.
+  bool DeferOrClaim(size_t index, const ReplayPoint& point,
+                    const uint8_t* image, size_t size,
+                    const DedupProbe& probe) {
+    if (cache_ == nullptr || lanes_ == 1) {
+      return false;
+    }
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    const auto it = pending_.find(probe.digest);
+    if (it == pending_.end()) {
+      if (probe.insert) {
+        PendingDigest entry;
+        if (cache_->verify()) {
+          entry.bytes =
+              std::make_shared<const std::vector<uint8_t>>(image, image + size);
+        }
+        pending_.emplace(probe.digest, std::move(entry));
+      }
+      return false;
+    }
+    if (cache_->verify() && it->second.bytes != nullptr &&
+        !std::equal(image, image + size, it->second.bytes->begin(),
+                    it->second.bytes->end())) {
+      InjectionMetrics::Add(ledger_->metrics().dedup_collisions);
+      return false;
+    }
+    it->second.waiters.push_back({index, point});
+    return true;
+  }
+
+  // Attributes every deferred check from the (now settled) cache once the
+  // lanes have joined, in index order, on lane 0. Deferred checks already
+  // hold a budget reservation, so this only re-reads the gate. A digest can
+  // still miss here if the original's dispatch failed (no verdict was ever
+  // inserted); `recheck(index)` then runs that one check for real.
+  // `classmates` is indexed like the checks (empty: none).
+  template <typename Recheck>
+  void ResolveDeferred(
+      std::span<const std::vector<ReplayPoint>> classmates,
+      Recheck&& recheck) {
+    struct Deferred {
+      size_t index;
+      ReplayPoint point;
+      ImageDigest digest;
+      const std::vector<uint8_t>* bytes;
+    };
+    std::vector<Deferred> ordered;
+    for (const auto& [digest, entry] : pending_) {
+      for (const auto& [index, point] : entry.waiters) {
+        ordered.push_back({index, point, digest, entry.bytes.get()});
+      }
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const Deferred& a, const Deferred& b) {
+                return a.index < b.index;
+              });
+    static const std::vector<ReplayPoint> kNoClassmates;
+    for (const Deferred& d : ordered) {
+      if (ledger_->Halted()) {
+        break;
+      }
+      DedupProbe probe;
+      probe.digest = d.digest;
+      const uint8_t* bytes = d.bytes != nullptr ? d.bytes->data() : nullptr;
+      const size_t size = d.bytes != nullptr ? d.bytes->size() : 0;
+      if (cache_->Lookup(d.digest, bytes, size, &probe.cached) ==
+          VerdictCache::Outcome::kHit) {
+        Hit(0, d.point, probe,
+            classmates.empty() ? kNoClassmates : classmates[d.index],
+            Clock::now());
+        continue;
+      }
+      recheck(d.index);
+    }
+    pending_.clear();
+  }
+
  private:
+  struct PendingDigest {
+    std::vector<std::pair<size_t, ReplayPoint>> waiters;
+    std::shared_ptr<const std::vector<uint8_t>> bytes;  // verify mode only
+  };
+
   VerdictLedger* ledger_;
   VerdictCache* cache_;
   RecoverySandbox* sandbox_;
   const TargetFactory& factory_;
   SpanTracer* tracer_;
+  const uint32_t lanes_;
+  std::mutex pending_mutex_;
+  std::unordered_map<ImageDigest, PendingDigest, ImageDigestHash> pending_;
 };
 
 // Order-sensitive fold of the profiled PM event stream — the persistent
@@ -621,70 +721,97 @@ void FaultInjectionEngine::InjectReExecute(std::vector<ReplayPoint> points,
   // From here on the tree is read-only to the executions (kInjectAt only
   // Finds) and each point is claimed by exactly one lane, so lanes share
   // it without locking.
-  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer);
-  std::atomic<size_t> next{0};
-  std::atomic<uint64_t> executions{0};
-  auto lane = [&](uint32_t lane_index) {
-    for (;;) {
-      const size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= points.size() || !ledger.Admit()) {
-        return;
-      }
-      const ReplayPoint& assigned = points[index];
-      const auto run_start = Clock::now();
-      ScopedSpan run_span(options_.tracer, "inject", "injection",
-                          lane_index + 1);
-      run_span.AddArg("failure_point", uint64_t{assigned.node});
-      TargetPtr target = factory_();
-      PmPool pool(target->DefaultPoolSize());
-      FailurePointSink sink(tree, FailurePointSink::Mode::kInjectAt,
-                            options_.granularity);
-      sink.set_inject_target(assigned.node, assigned.seq);
-      std::optional<CrashSignal> crash;
-      try {
-        ScopedSink attach_sink(pool.hub(), &sink);
-        ExecuteWorkload(*target, pool, spec_);
-      } catch (const CrashSignal& signal) {
-        crash = signal;
-      }
-      executions.fetch_add(1, std::memory_order_relaxed);
-      if (!crash.has_value()) {
-        // Unreachable path (should not happen: executions are
-        // deterministic). An attempt without a check.
-        tree->MarkVisited(assigned.node);
-        InjectionMetrics::Add(ledger.metrics().attempted);
-        continue;
-      }
-      const ReplayPoint point{assigned.node, crash->seq};
-      run_span.AddArg("seq", point.seq);
-      // Graceful crash image: pending stores persisted, program order
-      // respected (§4.1).
-      std::vector<uint8_t> image = pool.GracefulImage();
-      const DedupProbe probe =
-          checker.Probe(image.data(), image.size(), [&] {
-            return ComputeContentDigest(image.data(), image.size());
-          });
-      if (probe.hit) {
-        checker.Hit(lane_index, point, probe, {}, run_start);
-        continue;
-      }
-      checker.Run(lane_index, point, image, probe, {}, run_start);
-    }
-  };
-
   const uint32_t lanes = static_cast<uint32_t>(std::max<size_t>(
       1, std::min<size_t>(options_.workers, points.size())));
   if (options_.metrics != nullptr) {
     options_.metrics->GetGauge("inject.workers")->Set(lanes);
   }
+  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer, lanes);
+  const size_t pool_size = factory_()->DefaultPoolSize();
+  // Every check starts from a zeroed pool, so its image digest is the
+  // zero-pool digest with the lines the check wrote folded in.
+  ImageDigest zero_digest;
+  if (cache != nullptr) {
+    zero_digest = ReplayCursor::HashZeroPool(pool_size).digest;
+  }
+  std::atomic<uint64_t> executions{0};
+  // One check on a lane's recycled pool: re-execute to the point, commit
+  // the graceful crash in place, then probe and run the oracle on the
+  // pool's own bytes (RunOracle's undo log hands them back unchanged).
+  // Nothing is copied or hashed beyond the lines the workload wrote, and
+  // the caller's Reset() zeroes only those.
+  auto check = [&](uint32_t lane, PmPool& pool, size_t index,
+                   bool may_defer) {
+    const ReplayPoint& assigned = points[index];
+    const auto run_start = Clock::now();
+    ScopedSpan run_span(options_.tracer, "inject", "injection", lane + 1);
+    run_span.AddArg("failure_point", uint64_t{assigned.node});
+    TargetPtr target = factory_();
+    FailurePointSink sink(tree, FailurePointSink::Mode::kInjectAt,
+                          options_.granularity);
+    sink.set_inject_target(assigned.node, assigned.seq);
+    std::optional<CrashSignal> crash;
+    try {
+      ScopedSink attach_sink(pool.hub(), &sink);
+      ExecuteWorkload(*target, pool, spec_);
+    } catch (const CrashSignal& signal) {
+      crash = signal;
+    }
+    executions.fetch_add(1, std::memory_order_relaxed);
+    if (!crash.has_value()) {
+      // Unreachable path (should not happen: executions are
+      // deterministic). An attempt without a check.
+      tree->MarkVisited(assigned.node);
+      InjectionMetrics::Add(ledger.metrics().attempted);
+      return;
+    }
+    const ReplayPoint point{assigned.node, crash->seq};
+    run_span.AddArg("seq", point.seq);
+    // Graceful crash image: pending stores persisted, program order
+    // respected (§4.1).
+    pool.CrashGracefully();
+    const std::span<uint8_t> image = pool.model().mutable_durable_bytes();
+    const DedupProbe probe =
+        checker.Probe(image.data(), image.size(), [&] {
+          return DigestOverZeroPool(zero_digest, image.data(), image.size(),
+                                    pool.model().written_lines());
+        });
+    if (probe.hit) {
+      checker.Hit(lane, point, probe, {}, run_start);
+    } else if (!may_defer || !checker.DeferOrClaim(index, point, image.data(),
+                                                   image.size(), probe)) {
+      checker.Run(lane, point, image, probe, {}, run_start);
+    }
+  };
+  // Each lane owns one pool for its whole lifetime; lane 0 is the calling
+  // thread, and its pool also serves the deferred checks after the join.
+  std::atomic<size_t> next{0};
+  auto lane = [&](uint32_t lane_index, PmPool& pool) {
+    for (;;) {
+      const size_t index = next.fetch_add(1, std::memory_order_relaxed);
+      if (index >= points.size() || !ledger.Admit()) {
+        return;
+      }
+      check(lane_index, pool, index, /*may_defer=*/true);
+      pool.Reset();
+    }
+  };
+  PmPool lane0_pool(pool_size);
   std::vector<std::thread> threads;
   for (uint32_t i = 1; i < lanes; ++i) {
-    threads.emplace_back(lane, i);
+    threads.emplace_back([&, i] {
+      PmPool pool(pool_size);
+      lane(i, pool);
+    });
   }
-  lane(0);
+  lane(0, lane0_pool);
   for (std::thread& thread : threads) {
     thread.join();
   }
+  checker.ResolveDeferred({}, [&](size_t index) {
+    check(0, lane0_pool, index, /*may_defer=*/false);
+    lane0_pool.Reset();
+  });
   stats->executions += executions.load();
 }
 
@@ -730,7 +857,8 @@ void FaultInjectionEngine::InjectReplay(
   // re-execution, no call-stack matching — and every in-process check
   // recovers in place on its cursor's image (RunOracle's undo log hands the
   // bytes back unchanged), so no check copies a pool.
-  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer);
+  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer,
+                  thread_count);
   auto process_point = [&](uint32_t lane, size_t i, std::span<uint8_t> image,
                            const DedupProbe& probe) {
     const auto run_start = Clock::now();
@@ -742,52 +870,10 @@ void FaultInjectionEngine::InjectReplay(
   auto record_hit = [&](uint32_t lane, size_t i, const DedupProbe& probe) {
     checker.Hit(lane, points[i], probe, classmates[i], Clock::now());
   };
-
-  // With several checks in flight, a duplicate of an image whose check has
-  // not landed yet cannot hit the cache: its verdict only lands after the
-  // oracle finishes. Without this the common case — flush/fence-adjacent
-  // failure points sharing one image — would re-run the oracle on every
-  // lane that meets it. So such points are *deferred*: filed under the
-  // pending digest and resolved from the cache once every check has
-  // landed. Verify mode keeps one shared byte copy per pending digest (the
-  // same bytes the original's Insert will store) for the defer-time and
-  // resolution-time compares.
-  struct PendingDigest {
-    std::vector<size_t> waiters;
-    std::shared_ptr<const std::vector<uint8_t>> bytes;  // verify mode only
-  };
-  std::unordered_map<ImageDigest, PendingDigest, ImageDigestHash> pending;
-  std::mutex pending_mutex;
-  // After a cache miss: true when point `i` is a twin of an in-flight
-  // digest and was deferred; otherwise its check now owns the digest. One
-  // lock covers both, so lanes run the oracle at most once per digest. In
-  // verify mode a byte mismatch is a forged twin and gets its own oracle
-  // run, mirroring Outcome::kCollision. A lone lane skips all of this: the
-  // check of any earlier twin has already landed.
   auto defer_or_claim = [&](size_t i, const std::vector<uint8_t>& image,
                             const DedupProbe& probe) {
-    if (cache == nullptr || thread_count == 1) {
-      return false;
-    }
-    std::lock_guard<std::mutex> lock(pending_mutex);
-    const auto it = pending.find(probe.digest);
-    if (it == pending.end()) {
-      if (probe.insert) {
-        PendingDigest entry;
-        if (cache->verify()) {
-          entry.bytes = std::make_shared<const std::vector<uint8_t>>(image);
-        }
-        pending.emplace(probe.digest, std::move(entry));
-      }
-      return false;
-    }
-    if (cache->verify() && it->second.bytes != nullptr &&
-        *it->second.bytes != image) {
-      InjectionMetrics::Add(im.dedup_collisions);
-      return false;
-    }
-    it->second.waiters.push_back(i);
-    return true;
+    return checker.DeferOrClaim(i, points[i], image.data(), image.size(),
+                                probe);
   };
 
   // Every cursor starts from the zeroed pool; with dedup on they share one
@@ -812,60 +898,26 @@ void FaultInjectionEngine::InjectReplay(
       !plan.seq_ordered || (pipelined_server && cache != nullptr);
   ReplaySeekIndex seek_index(&replay_trace_,
                              seeks ? options_.seek_checkpoints : 0);
-  // Attributes every deferred point from the (now settled) cache, in seq
-  // order. Deferred points already hold a budget reservation, so this
-  // only re-reads the gate. A digest can still miss here if the
-  // original's dispatch failed (no verdict was ever inserted) — those
-  // points get a fresh cursor pass and a real oracle run.
+  // Deferred points resolve in seq order, so one cursor serves every one
+  // whose digest missed; the seek index places it just before the first.
   auto resolve_deferred = [&] {
-    struct Deferred {
-      size_t index;
-      ImageDigest digest;
-      const std::vector<uint8_t>* bytes;
-    };
-    std::vector<Deferred> ordered;
-    for (const auto& [digest, entry] : pending) {
-      for (const size_t index : entry.waiters) {
-        ordered.push_back({index, digest, entry.bytes.get()});
-      }
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Deferred& a, const Deferred& b) {
-                return a.index < b.index;
-              });
     std::unique_ptr<ReplayCursor> fallback;
-    for (const Deferred& d : ordered) {
-      if (ledger.Halted()) {
-        break;
-      }
-      DedupProbe probe;
-      probe.digest = d.digest;
-      const uint8_t* bytes = d.bytes != nullptr ? d.bytes->data() : nullptr;
-      const size_t size = d.bytes != nullptr ? d.bytes->size() : 0;
-      if (cache->Lookup(d.digest, bytes, size, &probe.cached) ==
-          VerdictCache::Outcome::kHit) {
-        record_hit(0, d.index, probe);
-        continue;
-      }
+    checker.ResolveDeferred(classmates, [&](size_t i) {
       if (fallback == nullptr) {
-        // Deferred points resolve in seq order, so one cursor serves them
-        // all; the seek index places it just before the first target.
         size_t skipped = 0;
-        fallback = seek_index.SeekCursor(points[d.index].seq,
-                                         profiled_pool_size_,
+        fallback = seek_index.SeekCursor(points[i].seq, profiled_pool_size_,
                                          /*track_digest=*/true, &skipped);
         InjectionMetrics::Add(im.seek_skipped_events, skipped);
       }
-      const std::vector<uint8_t>& image =
-          fallback->AdvanceTo(points[d.index].seq);
-      DedupProbe fresh = checker.Probe(image.data(), image.size(),
-                                       [&] { return fallback->Digest(); });
+      const std::vector<uint8_t>& image = fallback->AdvanceTo(points[i].seq);
+      const DedupProbe fresh = checker.Probe(
+          image.data(), image.size(), [&] { return fallback->Digest(); });
       if (fresh.hit) {
-        record_hit(0, d.index, fresh);
-        continue;
+        record_hit(0, i, fresh);
+        return;
       }
-      process_point(0, d.index, fallback->borrow_image(), fresh);
-    }
+      process_point(0, i, fallback->borrow_image(), fresh);
+    });
   };
 
   if (!plan.seq_ordered) {

@@ -152,8 +152,8 @@ struct FaultInjectionOptions {
   // equality (recovery is deterministic on the image bytes), so reports
   // keep the same unique findings; deduplicated ones carry `dedup_of`
   // provenance. Under kReplay the digest is maintained incrementally by
-  // the cursor (near-free); under kReExecute it costs one image scan per
-  // injection, still far below an oracle run.
+  // the cursor; under kReExecute it folds in only the lines the check
+  // wrote into its lane's recycled pool. Both are O(lines changed).
   bool image_dedup = true;
   // Opt-in collision guard (--verify-dedup): keep a byte copy of each
   // distinct image and only honour a digest hit when the bytes match.
@@ -319,8 +319,9 @@ class FaultInjectionEngine {
   // Convenience: Profile + InjectAll.
   Report Run(FaultInjectionStats* stats);
 
-  // Executes the full workload (setup, operations, finish) on a fresh pool
-  // and target. Exposed for baselines and benchmarks.
+  // Executes the full workload (setup, operations, finish) on a zeroed
+  // pool (fresh or Reset) and a fresh target. Exposed for baselines and
+  // benchmarks.
   static void ExecuteWorkload(Target& target, PmPool& pool,
                               const WorkloadSpec& spec);
 
@@ -377,8 +378,9 @@ class FaultInjectionEngine {
 
  private:
   // Re-execution lanes: each lane claims the next point, re-runs the
-  // workload to its first-hit seq (call-stack matching for points this
-  // engine never profiled) and checks the graceful image.
+  // workload on its own recycled pool to the point's first-hit seq
+  // (call-stack matching for points this engine never profiled) and checks
+  // the graceful image in place.
   void InjectReExecute(std::vector<ReplayPoint> points, VerdictLedger& ledger,
                        FailurePointTree* tree, FaultInjectionStats* stats,
                        RecoverySandbox* sandbox, VerdictCache* cache);

@@ -1,11 +1,66 @@
 #include "src/instrument/shadow_call_stack.h"
 
-#include <mutex>
-
+#include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <sstream>
 
 namespace mumak {
+namespace {
+
+std::atomic<uint64_t> next_registry_id{1};
+
+// Ids one registry has resolved on this thread. One registry at a time:
+// the hot paths all go through FrameRegistry::Global(), so switching
+// registries (tests with a local one) only costs refills.
+struct ThreadMemo {
+  uint64_t registry = 0;
+  std::unordered_map<uintptr_t, FrameId> addresses;
+  std::unordered_map<uintptr_t, FrameId> call_sites;
+};
+
+ThreadMemo& MemoFor(uint64_t registry) {
+  thread_local ThreadMemo memo;
+  if (memo.registry != registry) {
+    memo.registry = registry;
+    memo.addresses.clear();
+    memo.call_sites.clear();
+  }
+  return memo;
+}
+
+// One pointer-keyed lookup: this thread's memo, then the shared index
+// under a shared lock, then `intern` (which takes the exclusive lock) on a
+// registry miss.
+template <typename InternFn>
+FrameId Resolve(std::unordered_map<uintptr_t, FrameId>& memo,
+                std::shared_mutex& mutex,
+                std::unordered_map<uintptr_t, FrameId>& index,
+                uintptr_t key, InternFn&& intern) {
+  if (auto it = memo.find(key); it != memo.end()) {
+    return it->second;
+  }
+  FrameId id = kInvalidFrame;
+  {
+    std::shared_lock lock(mutex);
+    if (auto it = index.find(key); it != index.end()) {
+      id = it->second;
+    }
+  }
+  if (id == kInvalidFrame) {
+    id = intern();
+    std::unique_lock lock(mutex);
+    index.emplace(key, id);
+  }
+  memo.emplace(key, id);
+  return id;
+}
+
+}  // namespace
+
+FrameRegistry::FrameRegistry()
+    : instance_id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)) {
+}
 
 FrameId FrameRegistry::Intern(std::string_view function, std::string_view file,
                               int line, const void* call_site) {
@@ -32,20 +87,12 @@ FrameId FrameRegistry::Intern(std::string_view function, std::string_view file,
 }
 
 FrameId FrameRegistry::InternAddress(const void* address) {
-  const uintptr_t key = reinterpret_cast<uintptr_t>(address);
-  {
-    std::shared_lock lock(mutex_);
-    auto it = address_index_.find(key);
-    if (it != address_index_.end()) {
-      return it->second;
-    }
-  }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "pc:%p", address);
-  const FrameId id = Intern(buffer, "", 0);
-  std::unique_lock lock(mutex_);
-  address_index_.emplace(key, id);
-  return id;
+  return Resolve(MemoFor(instance_id_).addresses, mutex_, address_index_,
+                 reinterpret_cast<uintptr_t>(address), [&] {
+                   char buffer[32];
+                   std::snprintf(buffer, sizeof(buffer), "pc:%p", address);
+                   return Intern(buffer, "", 0);
+                 });
 }
 
 FrameId FrameRegistry::InternCallSite(const void* call_site,
@@ -60,17 +107,8 @@ FrameId FrameRegistry::InternCallSite(const void* call_site,
   const uintptr_t key =
       reinterpret_cast<uintptr_t>(call_site) ^
       (reinterpret_cast<uintptr_t>(function.data()) << 1);
-  {
-    std::shared_lock lock(mutex_);
-    auto it = call_site_index_.find(key);
-    if (it != call_site_index_.end()) {
-      return it->second;
-    }
-  }
-  const FrameId id = Intern(function, file, line, call_site);
-  std::unique_lock lock(mutex_);
-  call_site_index_.emplace(key, id);
-  return id;
+  return Resolve(MemoFor(instance_id_).call_sites, mutex_, call_site_index_,
+                 key, [&] { return Intern(function, file, line, call_site); });
 }
 
 std::string FrameRegistry::Describe(FrameId id) const {

@@ -24,7 +24,7 @@ inline constexpr FrameId kInvalidFrame = 0xffffffffu;
 // across runs); interned site ids give the same stability guarantee.
 class FrameRegistry {
  public:
-  FrameRegistry() = default;
+  FrameRegistry();
 
   FrameRegistry(const FrameRegistry&) = delete;
   FrameRegistry& operator=(const FrameRegistry&) = delete;
@@ -66,9 +66,14 @@ class FrameRegistry {
   };
 
   // Interning is thread-safe: parallel fault-injection workers intern
-  // frames and sites concurrently. Reads take a shared lock; misses
-  // upgrade to exclusive.
+  // frames and sites concurrently. The pointer-keyed fast paths first
+  // consult a per-thread memo of ids this registry already resolved (no
+  // lock, no shared cache line); memo misses take a shared lock and upgrade
+  // to exclusive on a registry miss.
   mutable std::shared_mutex mutex_;
+  // Never reused: keys the per-thread memo, so a registry built at a
+  // destroyed one's address never sees the dead one's memoised ids.
+  const uint64_t instance_id_;
   std::vector<Frame> frames_;
   std::unordered_map<std::string, FrameId> index_;
   // Pointer-keyed fast paths (per-event / per-call hot paths).

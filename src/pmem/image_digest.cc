@@ -46,4 +46,17 @@ ImageDigest ComputeContentDigest(const uint8_t* data, size_t size) {
   return digest;
 }
 
+ImageDigest DigestOverZeroPool(ImageDigest zero_pool, const uint8_t* data,
+                               size_t size, std::span<const uint64_t> lines) {
+  static constexpr uint8_t kZeroLine[kCacheLineSize] = {};
+  for (const uint64_t line : lines) {
+    const size_t at = line * kCacheLineSize;
+    const size_t len =
+        size - at < kCacheLineSize ? size - at : kCacheLineSize;
+    DigestToggleLine(&zero_pool, HashImageLine(kZeroLine, len, line));
+    DigestToggleLine(&zero_pool, HashImageLine(data + at, len, line));
+  }
+  return zero_pool;
+}
+
 }  // namespace mumak

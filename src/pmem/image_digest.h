@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace mumak {
@@ -72,6 +73,14 @@ inline void DigestToggleLine(ImageDigest* digest, uint64_t line_hash) {
 // Digest of a full image, line by line. O(size); the incremental path in
 // ReplayCursor must agree with this byte for byte (pinned by tests).
 ImageDigest ComputeContentDigest(const uint8_t* data, size_t size);
+
+// Digest of an image that is zero everywhere except possibly on `lines`
+// (cache-line indices, each listed once): `zero_pool`, the digest of a
+// zeroed image of the same size, with each listed line's zero hash toggled
+// out and its content hash toggled in. O(lines); equals
+// ComputeContentDigest over the same bytes.
+ImageDigest DigestOverZeroPool(ImageDigest zero_pool, const uint8_t* data,
+                               size_t size, std::span<const uint64_t> lines);
 
 }  // namespace mumak
 

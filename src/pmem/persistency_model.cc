@@ -24,7 +24,9 @@ void DurableUndoLog::RollBack() {
 }
 
 PersistencyModel::PersistencyModel(size_t pool_size)
-    : durable_owned_(pool_size, 0), durable_(durable_owned_) {}
+    : durable_owned_(pool_size, 0),
+      durable_(durable_owned_),
+      written_mark_((pool_size + kCacheLineSize - 1) / kCacheLineSize) {}
 
 PersistencyModel PersistencyModel::FromDurableImage(
     std::vector<uint8_t> image) {
@@ -117,6 +119,10 @@ void PersistencyModel::CommitLineToDurable(
   assert(base + kCacheLineSize <= durable_.size());
   if (undo_ != nullptr) {
     undo_->Save(line);
+  }
+  if (line < written_mark_.size() && !written_mark_[line]) {
+    written_mark_[line] = true;
+    written_.push_back(line);
   }
   std::memcpy(durable_.data() + base, data.data(), kCacheLineSize);
   ++stats_.committed_lines;
@@ -235,6 +241,31 @@ std::vector<uint8_t> PersistencyModel::GracefulImage() const {
                 kCacheLineSize);
   }
   return image;
+}
+
+void PersistencyModel::CommitGraceful() {
+  // The order GracefulImage() overlays them in: resident lines hold the
+  // newest program-order content, so they land last.
+  for (const auto& [line, snapshot] : wpq_) {
+    CommitLineToDurable(line, snapshot.data);
+  }
+  wpq_.clear();
+  for (const auto& [line, cl] : cache_) {
+    CommitLineToDurable(line, cl.data);
+  }
+  cache_.clear();
+}
+
+void PersistencyModel::Reset() {
+  assert(written_mark_.size() * kCacheLineSize >= durable_.size());
+  for (const uint64_t line : written_) {
+    std::memset(durable_.data() + line * kCacheLineSize, 0, kCacheLineSize);
+    written_mark_[line] = false;
+  }
+  written_.clear();
+  cache_.clear();
+  wpq_.clear();
+  stats_ = ModelStats();
 }
 
 std::vector<uint8_t> PersistencyModel::PowerFailImage() const {

@@ -28,7 +28,6 @@ inline constexpr uint64_t LineBase(uint64_t offset) {
   return offset & ~(kCacheLineSize - 1);
 }
 
-// Aggregate persistency statistics, used by resource accounting and tests.
 // Pre-images of the durable lines a model overwrote, for recovery run in
 // place on a borrowed image (PersistencyModel::FromBorrowedDurable) whose
 // owner needs its bytes back afterwards. Destroying the log writes every
@@ -59,6 +58,7 @@ class DurableUndoLog {
   std::vector<Saved> saved_;
 };
 
+// Aggregate persistency statistics, used by resource accounting and tests.
 struct ModelStats {
   uint64_t stores = 0;
   uint64_t nt_stores = 0;
@@ -134,6 +134,11 @@ class PersistencyModel {
   // injection). The image therefore reflects the full program-order prefix.
   std::vector<uint8_t> GracefulImage() const;
 
+  // The same crash, in place: commits the WPQ, then the cache overlay, into
+  // the durable medium and leaves both overlays empty. durable_bytes() then
+  // equal what GracefulImage() would have returned, without the copy.
+  void CommitGraceful();
+
   // "Pulled power cord": only the durable medium survives.
   std::vector<uint8_t> PowerFailImage() const;
 
@@ -158,6 +163,23 @@ class PersistencyModel {
   size_t VolatileFootprintBytes() const;
 
   std::span<const uint8_t> durable_bytes() const { return durable_; }
+  // Writable view, for recovery run in place on this model's own bytes.
+  std::span<uint8_t> mutable_durable_bytes() { return durable_; }
+
+  // -- Recycling ------------------------------------------------------------
+  //
+  // An owned, zero-constructed model records every durable line it writes
+  // (one bit per line), so it can be returned to its zeroed state in
+  // O(lines written) instead of being rebuilt. Borrowed and image-built
+  // models record nothing.
+
+  // Durable lines written since construction or the last Reset(), each
+  // once, in first-write order. A line outside this list is still zero.
+  std::span<const uint64_t> written_lines() const { return written_; }
+
+  // Returns a zero-constructed model to its just-constructed state: zeroes
+  // the written lines, empties the cache and the WPQ, clears the stats.
+  void Reset();
 
  private:
   struct CacheLine {
@@ -193,6 +215,10 @@ class PersistencyModel {
   std::unordered_map<uint64_t, CacheLine> wpq_;
   ModelStats stats_;
   DurableUndoLog* undo_ = nullptr;
+  // Written-line record (zero-constructed models only; empty otherwise):
+  // a bit per durable line plus the marked lines in first-write order.
+  std::vector<bool> written_mark_;
+  std::vector<uint64_t> written_;
 };
 
 }  // namespace mumak

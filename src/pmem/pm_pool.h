@@ -224,8 +224,19 @@ class PmPool {
   // -- Crash images and persistence ---------------------------------------
 
   std::vector<uint8_t> GracefulImage() const { return model_.GracefulImage(); }
+  // GracefulImage() in place, into this pool's own durable bytes.
+  void CrashGracefully() { model_.CommitGraceful(); }
   std::vector<uint8_t> PowerFailImage() const {
     return model_.PowerFailImage();
+  }
+
+  // Returns a pool created by PmPool(size) to its just-created state in
+  // O(lines written): zeroed durable bytes, empty overlays, cleared stats
+  // and event seq 0 (seq-targeted injection counts from there). Sinks,
+  // counters and the load-tracing switch are left as they are.
+  void Reset() {
+    model_.Reset();
+    hub_->ResetSeq();
   }
 
   bool SaveToFile(const std::string& path) const;

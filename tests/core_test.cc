@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "src/analysis/trace_analysis.h"
 #include "src/core/failure_point_tree.h"
+#include "src/core/fault_injection.h"
+#include "src/core/verdict_cache.h"
 #include "src/instrument/deterministic_random.h"
 #include "src/core/mumak.h"
 #include "src/instrument/trace.h"
+#include "src/pmem/image_digest.h"
 #include "src/targets/btree.h"
+#include "src/targets/target.h"
 
 namespace mumak {
 namespace {
@@ -715,6 +721,92 @@ TEST(ParallelInjection, RespectsInjectionCap) {
   // Workers race past the cap by at most (workers - 1) in-flight claims.
   EXPECT_LE(stats.injections, capped.max_injections + capped.workers);
   EXPECT_GT(tree.UnvisitedCount(), 0u);
+}
+
+// Re-execute lanes recycle one pool across checks: each check commits its
+// graceful crash in place, digests the lines it wrote, and the lane zeroes
+// them afterwards. Every image a campaign checks must therefore be the image
+// a fresh pool gives for that point. The saved verdict cache records each
+// distinct image's digest under the seq of the check that produced it, so
+// at 1 and 3 lanes every entry must carry the fresh-pool digest of its seq,
+// and the entries must cover exactly the fresh-pool digests of all points
+// (a wrong digest on any check would add an entry or lose one).
+TEST(ReExecutePool, CheckDigestsMatchFreshPoolRuns) {
+  const struct {
+    const char* target;
+    const char* bug;
+  } cases[] = {
+      {"btree", "btree.split_unlogged"},
+      {"hashmap_tx", "hashmap_tx.prepend_unlogged"},
+      {"fast_fair", "ff.c1_sibling_link_first"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.target);
+    TargetOptions options;
+    options.pmdk_version = PmdkVersion::k16;
+    options.bugs = {c.bug};
+    WorkloadSpec spec;
+    spec.operations = 200;
+    spec.key_space = 40;
+    const std::string name = c.target;
+    const TargetFactory factory = [name, options] {
+      return CreateTarget(name, options);
+    };
+
+    FaultInjectionEngine profiler(factory, spec);
+    FailurePointTree tree = profiler.Profile();
+    std::map<uint64_t, ImageDigest> fresh;  // seq -> fresh-pool digest
+    for (const auto& [node, seq] : profiler.first_hit_seq()) {
+      TargetPtr target = factory();
+      PmPool pool(target->DefaultPoolSize());
+      FailurePointSink sink(&tree, FailurePointSink::Mode::kInjectAt,
+                            FailurePointGranularity::kPersistencyInstruction);
+      sink.set_inject_target(node, seq);
+      try {
+        ScopedSink attach(pool.hub(), &sink);
+        FaultInjectionEngine::ExecuteWorkload(*target, pool, spec);
+      } catch (const CrashSignal&) {
+      }
+      const std::vector<uint8_t> image = pool.GracefulImage();
+      fresh[seq] = ComputeContentDigest(image.data(), image.size());
+    }
+    std::set<std::pair<uint64_t, uint64_t>> fresh_digests;
+    for (const auto& [seq, digest] : fresh) {
+      fresh_digests.insert({digest.lo, digest.hi});
+    }
+    ASSERT_GT(fresh.size(), fresh_digests.size()) << "no twin images";
+
+    for (const uint32_t lanes : {1u, 3u}) {
+      SCOPED_TRACE(lanes);
+      const std::string path = ::testing::TempDir() + "/core_test_reexec_" +
+                               name + "_" + std::to_string(lanes) + ".mvc";
+      std::remove(path.c_str());
+      FaultInjectionOptions fi;
+      fi.workers = lanes;
+      fi.verdict_cache_path = path;
+      FaultInjectionEngine engine(factory, spec, fi);
+      FailurePointTree campaign_tree = engine.Profile();
+      FaultInjectionStats stats;
+      engine.InjectAll(&campaign_tree, &stats);
+      EXPECT_EQ(stats.injections, fresh.size());
+
+      VerdictCache cache;
+      std::string warning;
+      ASSERT_TRUE(cache.Load(path, engine.trace_fingerprint(), &warning))
+          << warning;
+      std::remove(path.c_str());
+      EXPECT_EQ(cache.size(), fresh_digests.size());
+      std::set<std::pair<uint64_t, uint64_t>> checked;
+      cache.ForEach([&](const ImageDigest& digest,
+                        const VerdictCacheEntry& entry) {
+        const auto it = fresh.find(entry.first_seq);
+        ASSERT_NE(it, fresh.end()) << "seq " << entry.first_seq;
+        EXPECT_EQ(digest, it->second) << "seq " << entry.first_seq;
+        checked.insert({digest.lo, digest.hi});
+      });
+      EXPECT_EQ(checked, fresh_digests);
+    }
+  }
 }
 
 }  // namespace

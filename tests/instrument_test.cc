@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -275,6 +276,85 @@ TEST(FrameRegistryTest, ConcurrentAddressInterningIsConsistent) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(ids[t], ids[0]);
   }
+}
+
+// The pointer-keyed fast paths answer from a per-thread memo before the
+// shared lock. Four threads interning one set of sites, each repeatedly (so
+// later rounds come from each thread's memo), must see one id per site, and
+// the registry must hold exactly those sites.
+TEST(FrameRegistryMemoTest, FourThreadsInterningTheSameSitesGetOneIdPerSite) {
+  constexpr int kThreads = 4;
+  constexpr int kSites = 64;
+  constexpr int kRounds = 3;
+  static char code[kSites];  // stable, distinct addresses to intern
+  FrameRegistry registry;
+  std::vector<std::vector<FrameId>> address_ids(
+      kThreads, std::vector<FrameId>(kSites));
+  std::vector<std::vector<FrameId>> call_site_ids(
+      kThreads, std::vector<FrameId>(kSites));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (int n = 0; n < kSites; ++n) {
+          const FrameId address = registry.InternAddress(&code[n]);
+          const FrameId call_site =
+              registry.InternCallSite(&code[n], "memo_fn", "memo.cc", n);
+          if (round > 0) {
+            EXPECT_EQ(address, address_ids[t][n]);
+            EXPECT_EQ(call_site, call_site_ids[t][n]);
+          }
+          address_ids[t][n] = address;
+          call_site_ids[t][n] = call_site;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(address_ids[t], address_ids[0]);
+    EXPECT_EQ(call_site_ids[t], call_site_ids[0]);
+  }
+  std::vector<FrameId> all = address_ids[0];
+  all.insert(all.end(), call_site_ids[0].begin(), call_site_ids[0].end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::unique(all.begin(), all.end()), all.end());
+  EXPECT_EQ(registry.size(), size_t{2 * kSites});
+}
+
+// Tests build stack-local registries, and a new one can land at a dead
+// one's address. The memo is keyed by instance, so the new registry must
+// intern from scratch instead of returning ids the dead one memoised.
+TEST(FrameRegistryMemoTest, RegistryBuiltWhereAnotherDiedNeverReturnsItsIds) {
+  static char code[8];
+  std::optional<FrameRegistry> slot;
+  slot.emplace();
+  const FrameRegistry* first_address = &*slot;
+  for (int n = 0; n < 7; ++n) {
+    slot->InternAddress(&code[n]);
+  }
+  const FrameId dead_address_id = slot->InternAddress(&code[7]);
+  const FrameId dead_call_site_id =
+      slot->InternCallSite(&code[7], "memo_fn", "memo.cc", 7);
+  ASSERT_EQ(dead_address_id, 7u);
+  ASSERT_EQ(dead_call_site_id, 8u);
+  // Memoised on this thread now.
+  ASSERT_EQ(slot->InternAddress(&code[7]), dead_address_id);
+
+  slot.reset();
+  slot.emplace();
+  ASSERT_EQ(&*slot, first_address) << "the new registry must reuse the slot";
+  EXPECT_EQ(slot->size(), 0u);
+  const FrameId call_site_id =
+      slot->InternCallSite(&code[7], "memo_fn", "memo.cc", 7);
+  const FrameId address_id = slot->InternAddress(&code[7]);
+  EXPECT_EQ(call_site_id, 0u);
+  EXPECT_EQ(address_id, 1u);
+  EXPECT_EQ(slot->size(), 2u);
+  EXPECT_EQ(slot->Describe(call_site_id), "memo_fn at memo.cc:7");
+  EXPECT_EQ(slot->Describe(address_id).rfind("pc:", 0), 0u);
 }
 
 TEST(ShadowCallStackTest, PushPopAndDescribe) {

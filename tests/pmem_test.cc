@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/trace.h"
+#include "src/pmem/image_digest.h"
 #include "src/pmem/persistency_model.h"
 #include "src/pmem/pm_pool.h"
 
@@ -307,55 +310,57 @@ std::vector<uint8_t> PatternImage(size_t size) {
   return image;
 }
 
+// Every way a line becomes durable. Offsets stay below 4096.
+const struct CommitKind {
+  const char* name;
+  void (*commit)(PmPool&);
+} kCommitKinds[] = {
+    {"store+clflush",
+     [](PmPool& pool) {
+       pool.WriteU64(64, 1);
+       pool.Clflush(64);
+     }},
+    {"nt-store+fence",
+     [](PmPool& pool) {
+       const uint8_t bytes[16] = {1, 2, 3, 4, 5, 6, 7, 8,
+                                  9, 10, 11, 12, 13, 14, 15, 16};
+       pool.WriteNt(200, bytes, sizeof(bytes));
+       pool.Sfence();
+     }},
+    {"clwb+fence",
+     [](PmPool& pool) {
+       pool.WriteU64(512, 3);
+       pool.Clwb(512);
+       pool.Sfence();
+     }},
+    {"clflushopt+fence",
+     [](PmPool& pool) {
+       pool.WriteU64(768, 4);
+       pool.ClflushOpt(768);
+       pool.Mfence();
+     }},
+    {"rmw as the fence",
+     [](PmPool& pool) {
+       // An RMW drains the WPQ like a fence; its own store stays cached
+       // until flushed, so the second RMW commits the first one's line.
+       pool.WriteU64(1024, 5);
+       pool.Clwb(1024);
+       pool.RmwAdd(1088, 1);
+       pool.Clwb(1088);
+       pool.RmwCas(1152, pool.ReadU64(1152), 6);
+     }},
+    {"multi-line persist, same line twice",
+     [](PmPool& pool) {
+       pool.Memset(2000, 0xab, 300);
+       pool.PersistRange(2000, 300);
+       pool.WriteU64(2048, 7);
+       pool.PersistRange(2048, 8);
+     }},
+};
+
 TEST(DurableUndoLog, RestoresEveryCommitKind) {
-  const struct {
-    const char* name;
-    void (*commit)(PmPool&);
-  } kinds[] = {
-      {"store+clflush",
-       [](PmPool& pool) {
-         pool.WriteU64(64, 1);
-         pool.Clflush(64);
-       }},
-      {"nt-store+fence",
-       [](PmPool& pool) {
-         const uint8_t bytes[16] = {1, 2, 3, 4, 5, 6, 7, 8,
-                                    9, 10, 11, 12, 13, 14, 15, 16};
-         pool.WriteNt(200, bytes, sizeof(bytes));
-         pool.Sfence();
-       }},
-      {"clwb+fence",
-       [](PmPool& pool) {
-         pool.WriteU64(512, 3);
-         pool.Clwb(512);
-         pool.Sfence();
-       }},
-      {"clflushopt+fence",
-       [](PmPool& pool) {
-         pool.WriteU64(768, 4);
-         pool.ClflushOpt(768);
-         pool.Mfence();
-       }},
-      {"rmw as the fence",
-       [](PmPool& pool) {
-         // An RMW drains the WPQ like a fence; its own store stays cached
-         // until flushed, so the second RMW commits the first one's line.
-         pool.WriteU64(1024, 5);
-         pool.Clwb(1024);
-         pool.RmwAdd(1088, 1);
-         pool.Clwb(1088);
-         pool.RmwCas(1152, pool.ReadU64(1152), 6);
-       }},
-      {"multi-line persist, same line twice",
-       [](PmPool& pool) {
-         pool.Memset(2000, 0xab, 300);
-         pool.PersistRange(2000, 300);
-         pool.WriteU64(2048, 7);
-         pool.PersistRange(2048, 8);
-       }},
-  };
   const std::vector<uint8_t> original = PatternImage(8192);
-  for (const auto& kind : kinds) {
+  for (const auto& kind : kCommitKinds) {
     SCOPED_TRACE(kind.name);
     std::vector<uint8_t> image = original;
     {
@@ -405,6 +410,101 @@ TEST(DurableUndoLog, WithoutALogCommitsStayInTheBorrowedBytes) {
   uint64_t value = 0;
   std::memcpy(&value, image.data() + 64, sizeof(value));
   EXPECT_EQ(value, 9u);
+}
+
+// -- The recycled crash pool --------------------------------------------------
+//
+// A re-execute lane keeps one pool for its lifetime: after each check it
+// commits the graceful crash in place, digests only the lines it wrote, and
+// resets them. Each kind below also leaves volatile state behind (a cached
+// store, a WPQ line, a line both in the WPQ and re-dirtied in the cache, an
+// unfenced NT store), so the graceful commit has work to do.
+
+void LeavePendingState(PmPool& pool) {
+  // A committed line whose content ends all zero is still a written line.
+  pool.WriteU64(4288, 14);
+  pool.PersistRange(4288, 8);
+  pool.WriteU64(4288, 0);
+  pool.PersistRange(4288, 8);
+  pool.WriteU64(4096, 11);
+  pool.WriteU64(4160, 12);
+  pool.Clwb(4160);
+  pool.WriteU64(4168, 13);
+  const uint8_t bytes[8] = {21, 22, 23, 24, 25, 26, 27, 28};
+  pool.WriteNt(4224, bytes, sizeof(bytes));
+}
+
+TEST(RecycledPool, InPlaceGracefulCommitEqualsGracefulImage) {
+  for (const auto& kind : kCommitKinds) {
+    SCOPED_TRACE(kind.name);
+    PmPool pool(8192);
+    kind.commit(pool);
+    LeavePendingState(pool);
+    ASSERT_GT(pool.model().dirty_line_count(), 0u);
+    ASSERT_GT(pool.model().wpq_line_count(), 0u);
+    const std::vector<uint8_t> expected = pool.GracefulImage();
+    pool.CrashGracefully();
+    const std::span<const uint8_t> durable = pool.model().durable_bytes();
+    EXPECT_TRUE(std::equal(durable.begin(), durable.end(), expected.begin(),
+                           expected.end()));
+    EXPECT_EQ(pool.model().dirty_line_count(), 0u);
+    EXPECT_EQ(pool.model().wpq_line_count(), 0u);
+  }
+}
+
+TEST(RecycledPool, WrittenLineDigestEqualsContentDigest) {
+  const std::vector<uint8_t> zeros(8192, 0);
+  const ImageDigest zero_pool =
+      ComputeContentDigest(zeros.data(), zeros.size());
+  for (const auto& kind : kCommitKinds) {
+    SCOPED_TRACE(kind.name);
+    PmPool pool(8192);
+    auto expect_digest_matches = [&] {
+      const std::span<const uint8_t> durable = pool.model().durable_bytes();
+      EXPECT_EQ(DigestOverZeroPool(zero_pool, durable.data(), durable.size(),
+                                   pool.model().written_lines()),
+                ComputeContentDigest(durable.data(), durable.size()));
+    };
+    expect_digest_matches();
+    kind.commit(pool);
+    EXPECT_FALSE(pool.model().written_lines().empty());
+    expect_digest_matches();
+    LeavePendingState(pool);
+    pool.CrashGracefully();
+    expect_digest_matches();
+    EXPECT_NE(ComputeContentDigest(pool.model().durable_bytes().data(), 8192),
+              zero_pool);
+  }
+}
+
+TEST(RecycledPool, ResetLeavesAFreshPool) {
+  const PmPool fresh(8192);
+  for (const auto& kind : kCommitKinds) {
+    SCOPED_TRACE(kind.name);
+    PmPool pool(8192);
+    // Twice: a reset pool must also behave like a fresh one afterwards.
+    for (int round = 0; round < 2; ++round) {
+      kind.commit(pool);
+      LeavePendingState(pool);
+      pool.CrashGracefully();
+      ASSERT_GT(pool.hub().seq(), 0u);
+      pool.Reset();
+      EXPECT_TRUE(std::ranges::equal(pool.model().durable_bytes(),
+                                     fresh.model().durable_bytes()));
+      EXPECT_EQ(pool.model().dirty_line_count(), 0u);
+      EXPECT_EQ(pool.model().wpq_line_count(), 0u);
+      EXPECT_TRUE(pool.model().written_lines().empty());
+      EXPECT_EQ(pool.hub().seq(), 0u);
+      EXPECT_EQ(pool.model().stats().stores, 0u);
+      EXPECT_EQ(pool.model().stats().committed_lines, 0u);
+    }
+    // And replays a check exactly as a fresh pool does.
+    PmPool reference(8192);
+    kind.commit(reference);
+    kind.commit(pool);
+    EXPECT_EQ(pool.GracefulImage(), reference.GracefulImage());
+    EXPECT_EQ(pool.hub().seq(), reference.hub().seq());
+  }
 }
 
 }  // namespace

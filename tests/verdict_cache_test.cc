@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/flush_heavy_target.h"
 #include "src/core/fault_injection.h"
 #include "src/core/verdict_cache.h"
 #include "src/pmem/image_digest.h"
@@ -28,6 +30,11 @@ namespace {
 
 TargetFactory Factory(const std::string& name, const TargetOptions& options) {
   return [name, options]() -> TargetPtr { return CreateTarget(name, options); };
+}
+
+TargetOptions WithBug(TargetOptions options, const std::string& bug) {
+  options.bugs = {bug};
+  return options;
 }
 
 Report RunCampaign(const std::string& target, const TargetOptions& options,
@@ -189,6 +196,50 @@ TEST(DedupProperty, FourReplayLanesRunTheOracleOncePerImage) {
                                     InjectionStrategy::kReplay, 4,
                                     /*image_dedup=*/true, &four_stats);
     EXPECT_GT(four.BugCount(), 0u) << "bug " << c.bug << " not triggered";
+    ExpectSameFindings(one, four);
+    EXPECT_EQ(four_stats.injections, one_stats.injections);
+    EXPECT_EQ(four_stats.distinct_images + four_stats.dedup_hits,
+              four_stats.injections);
+    EXPECT_EQ(four_stats.distinct_images, one_stats.distinct_images);
+    EXPECT_GT(four_stats.dedup_hits, 0u);
+  }
+}
+
+// The same property for re-execution: four lanes, each re-running the
+// workload on its own recycled pool, defer twins of an in-flight digest
+// through the same path as the replay lanes. The three targets have few
+// twin images; the flush-heavy log (8 identical images per operation, tiny
+// pool, fast checks) keeps twins in flight on several lanes at once.
+TEST(DedupProperty, FourReExecuteLanesRunTheOracleOncePerImage) {
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  const struct {
+    const char* name;
+    TargetFactory factory;
+  } cases[] = {
+      {"btree", Factory("btree", WithBug(options, "btree.split_unlogged"))},
+      {"hashmap_tx",
+       Factory("hashmap_tx", WithBug(options, "hashmap_tx.prepend_unlogged"))},
+      {"fast_fair",
+       Factory("fast_fair", WithBug(options, "ff.c1_sibling_link_first"))},
+      {"flush_heavy", [] { return std::make_unique<FlushHeavyTarget>(); }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    WorkloadSpec spec;
+    spec.operations = 300;
+    spec.key_space = 50;
+    FaultInjectionStats one_stats, four_stats;
+    auto run = [&](uint32_t workers, FaultInjectionStats* stats) {
+      FaultInjectionOptions fi;
+      fi.workers = workers;
+      FaultInjectionEngine engine(c.factory, spec, fi);
+      FailurePointTree tree = engine.Profile();
+      return engine.InjectAll(&tree, stats);
+    };
+    const Report one = run(1, &one_stats);
+    const Report four = run(4, &four_stats);
+    EXPECT_GT(four.BugCount(), 0u) << "seeded bug not triggered";
     ExpectSameFindings(one, four);
     EXPECT_EQ(four_stats.injections, one_stats.injections);
     EXPECT_EQ(four_stats.distinct_images + four_stats.dedup_hits,
