@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -28,11 +27,6 @@ namespace mumak {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// Replay lanes claim checks in chunks of consecutive plan indices, about
-// this many chunks per lane: few enough that claiming is rare, enough that
-// the last chunks still balance the lanes' tails.
-constexpr size_t kChunksPerLane = 8;
 
 uint64_t Micros(Clock::time_point from, Clock::time_point to) {
   return static_cast<uint64_t>(
@@ -64,6 +58,7 @@ JournalVerdict VerdictFromSandbox(const SandboxVerdict& verdict) {
   }
   out.timed_out = verdict.timed_out;
   out.wall_us = verdict.recovery_wall_us;
+  out.oracle_ran = verdict.oracle_ran;
   return out;
 }
 
@@ -77,14 +72,98 @@ struct DedupProbe {
   bool insert = false;
   ImageDigest digest;
   VerdictCacheEntry cached;
-  // Verify mode retains the image bytes for the insert (a pipelined check
-  // lands after its cursor has moved on).
-  std::vector<uint8_t> verify_bytes;
 };
 
-// The per-check steps every in-process injection path shares, from "the
-// crash image exists" to "the ledger has its verdict", plus the deferral of
-// twins of an in-flight digest.
+// The two image sources the lane loop runs over; each lane owns one. For
+// one planned point a source makes the graceful crash image (Produce,
+// which returns the point actually crashed at, or nothing when the point
+// was unreachable), digests it in O(lines changed) (Digest), lends its own
+// bytes to the oracle (image) and readies itself for the next point
+// (Release).
+
+// Re-execution (§4.1): the lane's recycled pool re-runs the workload to the
+// point's first-hit seq (call-stack matching for points this engine never
+// profiled) and commits the graceful crash in place. Every run starts from
+// a zeroed pool, so the digest folds only the lines the run wrote into the
+// zero-pool digest, and Reset zeroes only those lines again.
+struct ReExecuteSource {
+  const TargetFactory& factory;
+  const WorkloadSpec& spec;
+  FailurePointGranularity granularity;
+  FailurePointTree* tree;
+  PmPool pool;
+  const ImageDigest& zero;
+  InjectionMetrics& metrics;
+  std::atomic<uint64_t>& executions;
+
+  std::optional<ReplayPoint> Produce(const ReplayPoint& assigned) {
+    TargetPtr target = factory();
+    FailurePointSink sink(tree, FailurePointSink::Mode::kInjectAt,
+                          granularity);
+    sink.set_inject_target(assigned.node, assigned.seq);
+    std::optional<CrashSignal> crash;
+    try {
+      ScopedSink attach_sink(pool.hub(), &sink);
+      FaultInjectionEngine::ExecuteWorkload(*target, pool, spec);
+    } catch (const CrashSignal& signal) {
+      crash = signal;
+    }
+    executions.fetch_add(1, std::memory_order_relaxed);
+    if (!crash.has_value()) {
+      // Unreachable path (should not happen: executions are
+      // deterministic). An attempt without a check.
+      tree->MarkVisited(assigned.node);
+      InjectionMetrics::Add(metrics.attempted);
+      return std::nullopt;
+    }
+    // Graceful crash image: pending stores persisted, program order
+    // respected (§4.1).
+    pool.CrashGracefully();
+    return ReplayPoint{assigned.node, crash->seq};
+  }
+
+  std::span<uint8_t> image() { return pool.model().mutable_durable_bytes(); }
+
+  ImageDigest Digest() {
+    return DigestOverZeroPool(zero, image().data(), image().size(),
+                              pool.model().written_lines());
+  }
+
+  void Release() { pool.Reset(); }
+};
+
+// Replay: the lane's cursor synthesizes each image from the profiled trace
+// by patching forward, with no re-execution. A point behind the cursor (a
+// ranked plan's next check, or a deferred recheck) re-seeks from the
+// nearest checkpoint at or before it.
+struct ReplaySource {
+  std::unique_ptr<ReplayCursor> cursor;
+  const ReplaySeekIndex& seek_index;
+  size_t pool_size;
+  InjectionMetrics& metrics;
+  uint64_t seq = 0;  // the point the cursor was last advanced to
+
+  std::optional<ReplayPoint> Produce(const ReplayPoint& point) {
+    if (point.seq < seq) {
+      size_t skipped = 0;
+      cursor = seek_index.SeekCursor(point.seq, pool_size,
+                                     cursor->tracks_digest(), &skipped);
+      InjectionMetrics::Add(metrics.seek_skipped_events, skipped);
+    }
+    cursor->AdvanceTo(point.seq);
+    seq = point.seq;
+    return point;
+  }
+
+  std::span<uint8_t> image() { return cursor->borrow_image(); }
+  ImageDigest Digest() { return cursor->Digest(); }
+  void Release() {}
+};
+
+// The check pipeline of every injection path in this process (the fleet
+// worker keeps its own loop): lanes over per-lane image sources, and per
+// check the probe, the deferral of twins of an in-flight digest, the oracle
+// and the verdict.
 class Checker {
  public:
   // `lanes` is the number of lanes that check concurrently.
@@ -97,30 +176,86 @@ class Checker {
         tracer_(tracer),
         lanes_(lanes) {}
 
-  // Digest + lookup. `digest_fn` supplies the digest in O(lines changed):
-  // the replay path reads the cursor's incrementally-maintained digest, the
-  // re-execute path folds the lines its recycled pool wrote into the
-  // zero-pool digest.
-  template <typename DigestFn>
-  DedupProbe Probe(const uint8_t* image, size_t size, DigestFn&& digest_fn) {
+  // The one lane loop. Lanes claim plan indices one at a time from one
+  // shared counter, so each lane's indices only grow and a seq-ordered plan
+  // moves its source forward only; lane 0 is the calling thread. Each
+  // lane produces, probes, defers and runs its own checks (sandboxed: in
+  // slot `lane`), so nothing crosses threads per check but the cache and
+  // the pending-digest map. After the join, deferred checks resolve on
+  // lane 0's source. `classmates` is indexed like `points`; `make_source`
+  // builds one lane's image source and runs on that lane's thread.
+  template <typename MakeSource>
+  void CheckLanes(std::span<const ReplayPoint> points,
+                  std::span<const std::vector<ReplayPoint>> classmates,
+                  MakeSource&& make_source) {
+    using Source = decltype(make_source());
+    auto check = [&](uint32_t lane, Source& source, size_t i,
+                     bool may_defer) {
+      const auto run_start = Clock::now();
+      ScopedSpan run_span(tracer_, "inject", "injection", lane + 1);
+      run_span.AddArg("failure_point", uint64_t{points[i].node});
+      if (const std::optional<ReplayPoint> point = source.Produce(points[i])) {
+        run_span.AddArg("seq", point->seq);
+        const std::span<uint8_t> image = source.image();
+        const DedupProbe probe = Probe(source);
+        if (probe.hit) {
+          Hit(lane, *point, probe, classmates[i], run_start);
+        } else if (!may_defer || !DeferOrClaim(i, *point, image, probe)) {
+          Run(lane, *point, image, probe, classmates[i], run_start);
+        }
+      }
+      source.Release();
+    };
+    std::atomic<size_t> next{0};
+    auto lane = [&](uint32_t lane_index, Source& source) {
+      for (size_t i = next++; i < points.size() && ledger_->Admit();
+           i = next++) {
+        check(lane_index, source, i, /*may_defer=*/true);
+      }
+    };
+    std::vector<std::thread> threads;
+    for (uint32_t i = 1; i < lanes_; ++i) {
+      threads.emplace_back([&, i] {
+        Source source = make_source();
+        lane(i, source);
+      });
+    }
+    Source lane0 = make_source();
+    lane(0, lane0);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    ResolveDeferred(classmates, [&](size_t i) {
+      check(0, lane0, i, /*may_defer=*/false);
+    });
+  }
+
+ private:
+  struct PendingDigest {
+    std::vector<std::pair<size_t, ReplayPoint>> waiters;
+    std::shared_ptr<const std::vector<uint8_t>> bytes;  // verify mode only
+  };
+
+  // Digest + lookup of the source's current image.
+  template <typename Source>
+  DedupProbe Probe(Source& source) {
     DedupProbe probe;
     if (cache_ == nullptr) {
       return probe;  // dedup off: run the oracle, cache nothing
     }
     InjectionMetrics& im = ledger_->metrics();
+    const std::span<const uint8_t> image = source.image();
     const auto digest_start = Clock::now();
-    probe.digest = digest_fn();
+    probe.digest = source.Digest();
     InjectionMetrics::Observe(im.digest_us,
                               Micros(digest_start, Clock::now()));
-    switch (cache_->Lookup(probe.digest, image, size, &probe.cached)) {
+    switch (cache_->Lookup(probe.digest, image.data(), image.size(),
+                           &probe.cached)) {
       case VerdictCache::Outcome::kHit:
         probe.hit = true;  // the ledger counts it when the verdict lands
         break;
       case VerdictCache::Outcome::kMiss:
         probe.insert = true;
-        if (cache_->verify()) {
-          probe.verify_bytes.assign(image, image + size);
-        }
         break;
       case VerdictCache::Outcome::kCollision:
         InjectionMetrics::Add(im.dedup_collisions);
@@ -130,17 +265,19 @@ class Checker {
   }
 
   // A cache hit: the point is injected (visited, counted) but no oracle
-  // runs and no slot or queue capacity is consumed.
+  // runs.
   void Hit(uint32_t lane, const ReplayPoint& point, const DedupProbe& probe,
            const std::vector<ReplayPoint>& classmates,
            Clock::time_point run_start) {
     ledger_->Dispatch(lane, point);
     Land(lane, point, VerdictFromCache(probe.cached, probe.digest),
-         DedupProbe(), classmates, Micros(run_start, Clock::now()), 0);
+         classmates, run_start);
   }
 
   // A miss: dispatch, run the oracle on `image` (in sandbox slot `lane`
-  // when sandboxed, in place otherwise — see RunOracle), land the verdict.
+  // when sandboxed, in place otherwise — see RunOracle), commit the pending
+  // cache insert from the same bytes (the oracle leaves them as they were)
+  // and land the verdict.
   void Run(uint32_t lane, const ReplayPoint& point, std::span<uint8_t> image,
            const DedupProbe& probe,
            const std::vector<ReplayPoint>& classmates,
@@ -154,28 +291,24 @@ class Checker {
       recovery_span.AddArg("status", verdict.status);
     }
     const auto now = Clock::now();
-    Land(lane, point, std::move(verdict), probe, classmates,
-         Micros(run_start, now), Micros(recovery_start, now));
+    InjectionMetrics::Observe(ledger_->metrics().recovery_us,
+                              Micros(recovery_start, now));
+    // A verdict the sandbox could not run says nothing about the image:
+    // leave it uncached, so twins deferred on it are rechecked.
+    if (probe.insert && verdict.oracle_ran) {
+      cache_->Insert(probe.digest, CacheEntryFromVerdict(verdict, point.seq),
+                     image.data(), image.size());
+      InjectionMetrics::Add(ledger_->metrics().distinct_images);
+    }
+    Land(lane, point, std::move(verdict), classmates, run_start);
   }
 
-  // The verdict of a dispatched check: run/recovery histograms (recovery
-  // only for real oracle runs), the pending cache insert, the ledger.
+  // The verdict of a dispatched check: the run histogram, then the ledger.
   void Land(uint32_t lane, const ReplayPoint& point, JournalVerdict verdict,
-            const DedupProbe& probe,
-            const std::vector<ReplayPoint>& classmates, uint64_t run_us,
-            uint64_t recovery_us) {
-    InjectionMetrics& im = ledger_->metrics();
-    if (!verdict.from_cache) {
-      InjectionMetrics::Observe(im.recovery_us, recovery_us);
-    }
-    InjectionMetrics::Observe(im.run_us, run_us);
-    if (cache_ != nullptr && probe.insert) {
-      cache_->Insert(probe.digest, CacheEntryFromVerdict(verdict, point.seq),
-                     probe.verify_bytes.empty() ? nullptr
-                                                : probe.verify_bytes.data(),
-                     probe.verify_bytes.size());
-      InjectionMetrics::Add(im.distinct_images);
-    }
+            const std::vector<ReplayPoint>& classmates,
+            Clock::time_point run_start) {
+    InjectionMetrics::Observe(ledger_->metrics().run_us,
+                              Micros(run_start, Clock::now()));
     ledger_->Verdict(lane, point, std::move(verdict), classmates);
   }
 
@@ -193,8 +326,7 @@ class Checker {
   // Outcome::kCollision. A lone lane skips all of this: the check of any
   // earlier twin has already landed.
   bool DeferOrClaim(size_t index, const ReplayPoint& point,
-                    const uint8_t* image, size_t size,
-                    const DedupProbe& probe) {
+                    std::span<const uint8_t> image, const DedupProbe& probe) {
     if (cache_ == nullptr || lanes_ == 1) {
       return false;
     }
@@ -204,15 +336,15 @@ class Checker {
       if (probe.insert) {
         PendingDigest entry;
         if (cache_->verify()) {
-          entry.bytes =
-              std::make_shared<const std::vector<uint8_t>>(image, image + size);
+          entry.bytes = std::make_shared<const std::vector<uint8_t>>(
+              image.begin(), image.end());
         }
         pending_.emplace(probe.digest, std::move(entry));
       }
       return false;
     }
     if (cache_->verify() && it->second.bytes != nullptr &&
-        !std::equal(image, image + size, it->second.bytes->begin(),
+        !std::equal(image.begin(), image.end(), it->second.bytes->begin(),
                     it->second.bytes->end())) {
       InjectionMetrics::Add(ledger_->metrics().dedup_collisions);
       return false;
@@ -224,13 +356,11 @@ class Checker {
   // Attributes every deferred check from the (now settled) cache once the
   // lanes have joined, in index order, on lane 0. Deferred checks already
   // hold a budget reservation, so this only re-reads the gate. A digest can
-  // still miss here if the original's dispatch failed (no verdict was ever
-  // inserted); `recheck(index)` then runs that one check for real.
-  // `classmates` is indexed like the checks (empty: none).
+  // still miss here if the sandbox could not run the original's oracle (no
+  // verdict was inserted); `recheck(index)` then runs that one check.
   template <typename Recheck>
-  void ResolveDeferred(
-      std::span<const std::vector<ReplayPoint>> classmates,
-      Recheck&& recheck) {
+  void ResolveDeferred(std::span<const std::vector<ReplayPoint>> classmates,
+                       Recheck&& recheck) {
     struct Deferred {
       size_t index;
       ReplayPoint point;
@@ -247,7 +377,6 @@ class Checker {
               [](const Deferred& a, const Deferred& b) {
                 return a.index < b.index;
               });
-    static const std::vector<ReplayPoint> kNoClassmates;
     for (const Deferred& d : ordered) {
       if (ledger_->Halted()) {
         break;
@@ -258,21 +387,13 @@ class Checker {
       const size_t size = d.bytes != nullptr ? d.bytes->size() : 0;
       if (cache_->Lookup(d.digest, bytes, size, &probe.cached) ==
           VerdictCache::Outcome::kHit) {
-        Hit(0, d.point, probe,
-            classmates.empty() ? kNoClassmates : classmates[d.index],
-            Clock::now());
+        Hit(0, d.point, probe, classmates[d.index], Clock::now());
         continue;
       }
       recheck(d.index);
     }
     pending_.clear();
   }
-
- private:
-  struct PendingDigest {
-    std::vector<std::pair<size_t, ReplayPoint>> waiters;
-    std::shared_ptr<const std::vector<uint8_t>> bytes;  // verify mode only
-  };
 
   VerdictLedger* ledger_;
   VerdictCache* cache_;
@@ -579,19 +700,14 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
   }
   RecoverySandbox* sandbox_ptr = sandbox.has_value() ? &*sandbox : nullptr;
   stats->failure_points = tree->FailurePointCount();
-  std::vector<ReplayPoint> schedule = BuildReplaySchedule(*tree);
+  const std::vector<ReplayPoint> schedule = BuildReplaySchedule(*tree);
   // One ledger lane per worker. Progress counts every point: replay covers
   // the profiled schedule, re-execution also the points it matches by call
   // stack.
   VerdictLedger ledger(options_, tree, std::max<uint32_t>(1, options_.workers),
                        resume_schedule_,
                        replay ? schedule.size() : tree->UnvisitedCount());
-  if (replay) {
-    InjectReplay(schedule, ledger, stats, sandbox_ptr, cache);
-  } else {
-    InjectReExecute(std::move(schedule), ledger, tree, stats, sandbox_ptr,
-                    cache);
-  }
+  Inject(replay, schedule, ledger, tree, stats, sandbox_ptr, cache);
   Report report = ledger.Finish(stats);
   if (replay) {
     stats->replayed = stats->injections;
@@ -686,149 +802,23 @@ std::vector<ReplayPoint> FaultInjectionEngine::BuildReplaySchedule(
   return points;
 }
 
-void FaultInjectionEngine::InjectReExecute(std::vector<ReplayPoint> points,
-                                           VerdictLedger& ledger,
-                                           FailurePointTree* tree,
-                                           FaultInjectionStats* stats,
-                                           RecoverySandbox* sandbox,
-                                           VerdictCache* cache) {
-  if (options_.rank) {
-    // Detector-guided dispatch order: finding overlap, then epoch store
-    // density, then seq (see injection_schedule.h). Pruning is not applied
-    // here: re-executed images are never proven identical, only replayed
-    // ones.
-    InjectionPlanOptions plan_options;
-    plan_options.rank = true;
-    plan_options.findings = options_.rank_findings;
-    const InjectionPlan plan =
-        BuildInjectionPlan(points, epoch_summaries_, plan_options);
-    points.clear();
-    for (const PlannedCheck& check : plan.checks) {
-      points.push_back(check.point);
-    }
-    stats->plan_finding_hits = plan.finding_hits;
-    InjectionMetrics::Add(ledger.metrics().rank_finding_hits,
-                          plan.finding_hits);
-  }
-  // Points this engine never profiled (a tree built by another engine) go
-  // last and are matched by call stack instead of instruction counter.
-  for (const FailurePointTree::NodeIndex node : tree->UnvisitedNodes()) {
-    if (first_seq_.find(node) == first_seq_.end()) {
-      points.push_back({node, FailurePointSink::kNoSeq});
-    }
-  }
-
-  // From here on the tree is read-only to the executions (kInjectAt only
-  // Finds) and each point is claimed by exactly one lane, so lanes share
-  // it without locking.
-  const uint32_t lanes = static_cast<uint32_t>(std::max<size_t>(
-      1, std::min<size_t>(options_.workers, points.size())));
-  if (options_.metrics != nullptr) {
-    options_.metrics->GetGauge("inject.workers")->Set(lanes);
-  }
-  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer, lanes);
-  const size_t pool_size = factory_()->DefaultPoolSize();
-  // Every check starts from a zeroed pool, so its image digest is the
-  // zero-pool digest with the lines the check wrote folded in.
-  ImageDigest zero_digest;
-  if (cache != nullptr) {
-    zero_digest = ReplayCursor::HashZeroPool(pool_size).digest;
-  }
-  std::atomic<uint64_t> executions{0};
-  // One check on a lane's recycled pool: re-execute to the point, commit
-  // the graceful crash in place, then probe and run the oracle on the
-  // pool's own bytes (RunOracle's undo log hands them back unchanged).
-  // Nothing is copied or hashed beyond the lines the workload wrote, and
-  // the caller's Reset() zeroes only those.
-  auto check = [&](uint32_t lane, PmPool& pool, size_t index,
-                   bool may_defer) {
-    const ReplayPoint& assigned = points[index];
-    const auto run_start = Clock::now();
-    ScopedSpan run_span(options_.tracer, "inject", "injection", lane + 1);
-    run_span.AddArg("failure_point", uint64_t{assigned.node});
-    TargetPtr target = factory_();
-    FailurePointSink sink(tree, FailurePointSink::Mode::kInjectAt,
-                          options_.granularity);
-    sink.set_inject_target(assigned.node, assigned.seq);
-    std::optional<CrashSignal> crash;
-    try {
-      ScopedSink attach_sink(pool.hub(), &sink);
-      ExecuteWorkload(*target, pool, spec_);
-    } catch (const CrashSignal& signal) {
-      crash = signal;
-    }
-    executions.fetch_add(1, std::memory_order_relaxed);
-    if (!crash.has_value()) {
-      // Unreachable path (should not happen: executions are
-      // deterministic). An attempt without a check.
-      tree->MarkVisited(assigned.node);
-      InjectionMetrics::Add(ledger.metrics().attempted);
-      return;
-    }
-    const ReplayPoint point{assigned.node, crash->seq};
-    run_span.AddArg("seq", point.seq);
-    // Graceful crash image: pending stores persisted, program order
-    // respected (§4.1).
-    pool.CrashGracefully();
-    const std::span<uint8_t> image = pool.model().mutable_durable_bytes();
-    const DedupProbe probe =
-        checker.Probe(image.data(), image.size(), [&] {
-          return DigestOverZeroPool(zero_digest, image.data(), image.size(),
-                                    pool.model().written_lines());
-        });
-    if (probe.hit) {
-      checker.Hit(lane, point, probe, {}, run_start);
-    } else if (!may_defer || !checker.DeferOrClaim(index, point, image.data(),
-                                                   image.size(), probe)) {
-      checker.Run(lane, point, image, probe, {}, run_start);
-    }
-  };
-  // Each lane owns one pool for its whole lifetime; lane 0 is the calling
-  // thread, and its pool also serves the deferred checks after the join.
-  std::atomic<size_t> next{0};
-  auto lane = [&](uint32_t lane_index, PmPool& pool) {
-    for (;;) {
-      const size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= points.size() || !ledger.Admit()) {
-        return;
-      }
-      check(lane_index, pool, index, /*may_defer=*/true);
-      pool.Reset();
-    }
-  };
-  PmPool lane0_pool(pool_size);
-  std::vector<std::thread> threads;
-  for (uint32_t i = 1; i < lanes; ++i) {
-    threads.emplace_back([&, i] {
-      PmPool pool(pool_size);
-      lane(i, pool);
-    });
-  }
-  lane(0, lane0_pool);
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  checker.ResolveDeferred({}, [&](size_t index) {
-    check(0, lane0_pool, index, /*may_defer=*/false);
-    lane0_pool.Reset();
-  });
-  stats->executions += executions.load();
-}
-
-void FaultInjectionEngine::InjectReplay(
-    const std::vector<ReplayPoint>& schedule, VerdictLedger& ledger,
-    FaultInjectionStats* stats, RecoverySandbox* sandbox,
-    VerdictCache* cache) {
-  stats->replay_trace_bytes = replay_trace_.FootprintBytes();
-
+void FaultInjectionEngine::Inject(bool replay,
+                                  const std::vector<ReplayPoint>& schedule,
+                                  VerdictLedger& ledger,
+                                  FailurePointTree* tree,
+                                  FaultInjectionStats* stats,
+                                  RecoverySandbox* sandbox,
+                                  VerdictCache* cache) {
   // Adaptive plan (src/core/injection_schedule.h): with the planner off
   // this is the identity — one check per schedule point, seq order, no
   // classmates. With --prune-equiv, classes of provably image-identical
   // points collapse to their representative (the ledger fans its verdict
-  // out to the classmates); with --rank, checks leave seq order for the
-  // ranked dispatch branch below.
+  // out to the classmates); only replayed images are proven identical, so
+  // re-execution never prunes. With --rank, checks leave seq order for
+  // detector-guided order: finding overlap, then epoch store density, then
+  // seq.
   InjectionPlanOptions plan_options;
-  plan_options.prune_equiv = options_.prune_equiv;
+  plan_options.prune_equiv = replay && options_.prune_equiv;
   plan_options.rank = options_.rank;
   plan_options.findings = options_.rank_findings;
   InjectionPlan plan =
@@ -844,236 +834,88 @@ void FaultInjectionEngine::InjectReplay(
   stats->plan_finding_hits = plan.finding_hits;
   InjectionMetrics& im = ledger.metrics();
   InjectionMetrics::Add(im.rank_finding_hits, plan.finding_hits);
+  if (!replay) {
+    // Points this engine never profiled (a tree built by another engine)
+    // go last and are matched by call stack instead of instruction counter.
+    for (const FailurePointTree::NodeIndex node : tree->UnvisitedNodes()) {
+      if (first_seq_.find(node) == first_seq_.end()) {
+        points.push_back({node, FailurePointSink::kNoSeq});
+        classmates.emplace_back();
+      }
+    }
+  }
 
-  const uint32_t thread_count = static_cast<uint32_t>(std::max<size_t>(
-      1, std::min<size_t>(options_.workers, points.size())));
+  // A ranked replay plan runs on one lane: its checks leave seq order, so
+  // every lane's cursor would keep seeking back, and the point of ranking
+  // is budgeted campaigns, where which checks run before the stop matters
+  // more than aggregate throughput.
+  const uint32_t lanes =
+      replay && !plan.seq_ordered
+          ? 1
+          : static_cast<uint32_t>(std::max<size_t>(
+                1, std::min<size_t>(options_.workers, points.size())));
   if (options_.metrics != nullptr) {
-    options_.metrics->GetGauge("inject.workers")->Set(thread_count);
+    options_.metrics->GetGauge("inject.workers")->Set(lanes);
+  }
+  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer, lanes);
+
+  if (!replay) {
+    // The tree is read-only to the executions (kInjectAt only Finds) and
+    // each point is claimed by exactly one lane, so lanes share it without
+    // locking.
+    const size_t pool_size = factory_()->DefaultPoolSize();
+    ImageDigest zero_digest;
+    if (cache != nullptr) {
+      zero_digest = ReplayCursor::HashZeroPool(pool_size).digest;
+    }
+    std::atomic<uint64_t> executions{0};
+    checker.CheckLanes(points, classmates, [&] {
+      return ReExecuteSource{factory_, spec_, options_.granularity, tree,
+                             PmPool(pool_size), zero_digest, im, executions};
+    });
+    stats->executions += executions.load();
+    return;
+  }
+
+  stats->replay_trace_bytes = replay_trace_.FootprintBytes();
+  if (options_.metrics != nullptr) {
     options_.metrics->GetGauge("inject.replay_trace_bytes")
         ->Set(stats->replay_trace_bytes);
   }
-
-  // Crash images are synthesized by forward-only cursors — no workload
-  // re-execution, no call-stack matching — and every in-process check
-  // recovers in place on its cursor's image (RunOracle's undo log hands the
-  // bytes back unchanged), so no check copies a pool.
-  Checker checker(&ledger, cache, sandbox, factory_, options_.tracer,
-                  thread_count);
-  auto process_point = [&](uint32_t lane, size_t i, std::span<uint8_t> image,
-                           const DedupProbe& probe) {
-    const auto run_start = Clock::now();
-    ScopedSpan run_span(options_.tracer, "inject", "injection", lane + 1);
-    run_span.AddArg("failure_point", uint64_t{points[i].node});
-    run_span.AddArg("seq", points[i].seq);
-    checker.Run(lane, points[i], image, probe, classmates[i], run_start);
-  };
-  auto record_hit = [&](uint32_t lane, size_t i, const DedupProbe& probe) {
-    checker.Hit(lane, points[i], probe, classmates[i], Clock::now());
-  };
-  auto defer_or_claim = [&](size_t i, const std::vector<uint8_t>& image,
-                            const DedupProbe& probe) {
-    return checker.DeferOrClaim(i, points[i], image.data(), image.size(),
-                                probe);
-  };
-
-  // Every cursor starts from the zeroed pool; with dedup on they share one
-  // hash of it instead of each rehashing every line.
+  // Crash images are synthesized by cursors — no workload re-execution, no
+  // call-stack matching — and every in-process check recovers in place on
+  // its cursor's image (RunOracle's undo log hands the bytes back
+  // unchanged), so no check copies a pool. Every cursor starts from the
+  // zeroed pool; with dedup on they share one hash of it instead of each
+  // rehashing every line.
   std::optional<ReplayCursor::ZeroDigest> zero;
   if (cache != nullptr) {
     zero = ReplayCursor::HashZeroPool(profiled_pool_size_);
   }
   auto fresh_cursor = [&] {
     return zero.has_value()
-               ? ReplayCursor(replay_trace_, profiled_pool_size_, *zero)
-               : ReplayCursor(replay_trace_, profiled_pool_size_);
+               ? std::make_unique<ReplayCursor>(replay_trace_,
+                                                profiled_pool_size_, *zero)
+               : std::make_unique<ReplayCursor>(replay_trace_,
+                                                profiled_pool_size_);
   };
-  // Checkpoints for the paths that seek: ranked dispatch (every check
-  // starts from one) and the pipelined fork-server's deferred resolver.
-  // The lane loop never seeks — its deferred points resolve from the cache
-  // — so it pays no pool-sized checkpoint copies.
-  const bool pipelined_server =
-      thread_count > 1 && sandbox != nullptr &&
-      sandbox->policy() == SandboxPolicy::kForkServer;
-  const bool seeks =
-      !plan.seq_ordered || (pipelined_server && cache != nullptr);
+  // Only a ranked plan steps back, so only it pays for checkpoints: one
+  // capture prepass walks the trace once to populate the seek index, and a
+  // check behind its cursor then resumes from the nearest checkpoint. A
+  // seq-ordered plan steps back only to recheck a deferred twin whose
+  // original failed, which starts from zero.
   ReplaySeekIndex seek_index(&replay_trace_,
-                             seeks ? options_.seek_checkpoints : 0);
-  // Deferred points resolve in seq order, so one cursor serves every one
-  // whose digest missed; the seek index places it just before the first.
-  auto resolve_deferred = [&] {
-    std::unique_ptr<ReplayCursor> fallback;
-    checker.ResolveDeferred(classmates, [&](size_t i) {
-      if (fallback == nullptr) {
-        size_t skipped = 0;
-        fallback = seek_index.SeekCursor(points[i].seq, profiled_pool_size_,
-                                         /*track_digest=*/true, &skipped);
-        InjectionMetrics::Add(im.seek_skipped_events, skipped);
-      }
-      const std::vector<uint8_t>& image = fallback->AdvanceTo(points[i].seq);
-      const DedupProbe fresh = checker.Probe(
-          image.data(), image.size(), [&] { return fallback->Digest(); });
-      if (fresh.hit) {
-        record_hit(0, i, fresh);
-        return;
-      }
-      process_point(0, i, fallback->borrow_image(), fresh);
-    });
-  };
-
+                             plan.seq_ordered ? 0 : options_.seek_checkpoints);
   if (!plan.seq_ordered) {
-    // Ranked dispatch (--rank): checks leave seq order, which a forward-
-    // only cursor cannot feed. Instead one capture prepass walks the trace
-    // once to populate the seek index, and every check then synthesizes
-    // its image from the nearest checkpoint. This trades lane parallelism
-    // for highest-expected-yield ordering: the point of ranking is
-    // budgeted campaigns, where which checks run before the stop matters
-    // more than aggregate throughput.
-    {
-      ReplayCursor scout = fresh_cursor();
-      for (const ReplayPoint& point : schedule) {
-        scout.AdvanceTo(point.seq);
-        seek_index.MaybeCapture(scout);
-      }
+    const std::unique_ptr<ReplayCursor> scout = fresh_cursor();
+    for (const ReplayPoint& point : schedule) {
+      scout->AdvanceTo(point.seq);
+      seek_index.MaybeCapture(*scout);
     }
-    for (size_t i = 0; i < points.size() && ledger.Admit(); ++i) {
-      size_t skipped = 0;
-      std::unique_ptr<ReplayCursor> synth =
-          seek_index.SeekCursor(points[i].seq, profiled_pool_size_,
-                                /*track_digest=*/cache != nullptr, &skipped);
-      InjectionMetrics::Add(im.seek_skipped_events, skipped);
-      const std::vector<uint8_t>& image = synth->AdvanceTo(points[i].seq);
-      const DedupProbe probe = checker.Probe(
-          image.data(), image.size(), [&] { return synth->Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      process_point(0, i, synth->borrow_image(), probe);
-    }
-  } else if (pipelined_server) {
-    // Pipelined fork-server: the worker *processes* are the parallelism,
-    // so no lane threads are needed. This one thread streams the cursor,
-    // writes each image directly into a free slot's shared buffer, and
-    // dispatches the check without blocking (StartServerCheck); up to
-    // `thread_count` workers then run recovery concurrently. Verdicts are
-    // collected in dispatch order — head-of-line collection is harmless
-    // because a slow check keeps only its own worker busy, and
-    // FinishServerCheck drains verdicts that arrived while we waited.
-    ReplayCursor cursor = fresh_cursor();
-    struct InFlight {
-      size_t index = 0;
-      Clock::time_point dispatched;
-      // Pending cache insert for this check. Verify mode keeps its own
-      // image copy in the probe: recovery writes through to the slot's
-      // shared buffer, so the slot bytes are stale by collection time.
-      DedupProbe probe;
-    };
-    std::vector<InFlight> inflight(thread_count);
-    std::deque<uint32_t> collect_order;  // slots with a dispatched check
-    std::vector<bool> busy(thread_count, false);
-    // In-flight depth is capped at the core count: checks beyond it cannot
-    // run concurrently anyway, and each extra in-flight slot rotates
-    // another full-size image buffer through the cache between the memcpy
-    // and the worker's recovery pass, evicting the hot one. Excess lanes
-    // simply stay idle (their workers were spawned but sit blocked in
-    // read(), costing nothing).
-    const uint32_t hw = std::thread::hardware_concurrency();
-    const size_t depth =
-        std::min<size_t>(thread_count, hw == 0 ? thread_count : hw);
-
-    auto collect_oldest = [&] {
-      const uint32_t slot = collect_order.front();
-      collect_order.pop_front();
-      JournalVerdict verdict =
-          VerdictFromSandbox(sandbox->FinishServerCheck(slot));
-      busy[slot] = false;
-      const InFlight& check = inflight[slot];
-      const uint64_t wall_us = verdict.wall_us;
-      checker.Land(slot, points[check.index], std::move(verdict),
-                   check.probe, classmates[check.index],
-                   Micros(check.dispatched, Clock::now()), wall_us);
-    };
-
-    for (size_t i = 0; i < points.size() && ledger.Admit(); ++i) {
-      // Probe the cache before claiming a slot: a hit dispatches nothing,
-      // so it neither blocks on collect_oldest() nor occupies a lane.
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-      seek_index.MaybeCapture(cursor);
-      DedupProbe probe = checker.Probe(image.data(), image.size(),
-                                       [&] { return cursor.Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      if (defer_or_claim(i, image, probe)) {
-        continue;  // twin of an in-flight check: attributed after the drain
-      }
-      if (collect_order.size() == depth) {
-        collect_oldest();  // all usable lanes busy: free the oldest
-      }
-      uint32_t slot = 0;
-      while (busy[slot]) {
-        ++slot;
-      }
-      std::memcpy(sandbox->ImageBuffer(slot), image.data(), image.size());
-      ledger.Dispatch(slot, points[i]);
-      SandboxVerdict error;
-      if (!sandbox->StartServerCheck(slot, /*data=*/nullptr, image.size(),
-                                     &error)) {
-        // No worker available: the error verdict IS the outcome. Not an
-        // image-determined verdict, so it is never cached (twins deferred
-        // on its digest miss at resolution and get their own check).
-        checker.Land(slot, points[i], VerdictFromSandbox(error), DedupProbe(),
-                     classmates[i], 0, 0);
-        continue;
-      }
-      inflight[slot] = {i, Clock::now(), std::move(probe)};
-      busy[slot] = true;
-      collect_order.push_back(slot);
-    }
-    while (!collect_order.empty()) {
-      collect_oldest();
-    }
-    resolve_deferred();
-  } else {
-    // Lanes: each owns a cursor and claims chunks of consecutive checks
-    // from a shared counter, so its cursor only moves forward; lane 0 is
-    // the calling thread. Each lane walks the trace once — O(lanes × trace)
-    // synthesis in total — and probes, defers and runs its own checks, so
-    // nothing crosses threads per check but the cache and the pending map.
-    const size_t chunk = std::max<size_t>(
-        1, points.size() / (size_t{thread_count} * kChunksPerLane));
-    std::atomic<size_t> next_chunk{0};
-    auto lane = [&](uint32_t lane_index) {
-      ReplayCursor cursor = fresh_cursor();
-      for (size_t begin = next_chunk.fetch_add(chunk);
-           begin < points.size(); begin = next_chunk.fetch_add(chunk)) {
-        const size_t end = std::min(points.size(), begin + chunk);
-        for (size_t i = begin; i < end; ++i) {
-          if (!ledger.Admit()) {
-            return;
-          }
-          const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-          const DedupProbe probe = checker.Probe(
-              image.data(), image.size(), [&] { return cursor.Digest(); });
-          if (probe.hit) {
-            record_hit(lane_index, i, probe);
-          } else if (!defer_or_claim(i, image, probe)) {
-            process_point(lane_index, i, cursor.borrow_image(), probe);
-          }
-        }
-      }
-    };
-    std::vector<std::thread> threads;
-    for (uint32_t i = 1; i < thread_count; ++i) {
-      threads.emplace_back(lane, i);
-    }
-    lane(0);
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-    resolve_deferred();
   }
+  checker.CheckLanes(points, classmates, [&] {
+    return ReplaySource{fresh_cursor(), seek_index, profiled_pool_size_, im};
+  });
 }
 
 Report FaultInjectionEngine::Run(FaultInjectionStats* stats) {

@@ -159,11 +159,11 @@ struct FaultInjectionOptions {
   // distinct image and only honour a digest hit when the bytes match.
   bool verify_dedup = false;
   // Replay seek index (src/pmem/replay_seek_index.h): image checkpoints
-  // captured at up to this many block-aligned positions by the replay
-  // paths that seek (ranked dispatch, the pipelined fork-server's
-  // deferred-dedup resolver), which start synthesis at the nearest
-  // checkpoint instead of replaying the whole prefix. Each checkpoint
-  // copies the pool image once; 0 disables.
+  // captured at up to this many block-aligned positions for ranked replay
+  // plans (--rank), whose lane re-seeks from the nearest checkpoint when
+  // its next check lies behind its cursor instead of replaying the whole
+  // prefix, and for fleet workers. Each checkpoint copies the pool image
+  // once; 0 disables.
   uint32_t seek_checkpoints = 4;
   // When non-empty, the verdict cache is loaded from / saved to this path,
   // keyed by a fingerprint of the profiled trace — repeated campaigns over
@@ -377,17 +377,13 @@ class FaultInjectionEngine {
   const TargetFactory& factory() const { return factory_; }
 
  private:
-  // Re-execution lanes: each lane claims the next point, re-runs the
-  // workload on its own recycled pool to the point's first-hit seq
-  // (call-stack matching for points this engine never profiled) and checks
-  // the graceful image in place.
-  void InjectReExecute(std::vector<ReplayPoint> points, VerdictLedger& ledger,
-                       FailurePointTree* tree, FaultInjectionStats* stats,
-                       RecoverySandbox* sandbox, VerdictCache* cache);
-  // Replay: crash images synthesized from the profiled trace.
-  void InjectReplay(const std::vector<ReplayPoint>& schedule,
-                    VerdictLedger& ledger, FaultInjectionStats* stats,
-                    RecoverySandbox* sandbox, VerdictCache* cache);
+  // The injection phase over `schedule`: plans the checks, then runs them
+  // on lanes whose crash images come from re-executing the workload on a
+  // recycled pool or, when `replay`, from cursors over the profiled trace.
+  void Inject(bool replay, const std::vector<ReplayPoint>& schedule,
+              VerdictLedger& ledger, FailurePointTree* tree,
+              FaultInjectionStats* stats, RecoverySandbox* sandbox,
+              VerdictCache* cache);
 
   TargetFactory factory_;
   WorkloadSpec spec_;

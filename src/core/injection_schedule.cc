@@ -72,7 +72,6 @@ InjectionPlan BuildInjectionPlan(const std::vector<ReplayPoint>& schedule,
   // class membership is a cumulative property (identical changed-store
   // totals at both boundaries), so one forward walk suffices — including
   // across gaps where resume already removed points.
-  uint64_t prev_span_end = 0;  // seq preceding the current class's span
   size_t rep_summary = PrefixSums::kNotFound;
   for (const ReplayPoint& point : schedule) {
     const size_t at = sums.Find(point.seq);
@@ -84,13 +83,6 @@ InjectionPlan BuildInjectionPlan(const std::vector<ReplayPoint>& schedule,
       plan.checks.back().classmates.push_back(point);
       ++plan.pruned;
       continue;
-    }
-    if (!plan.checks.empty()) {
-      // Close the previous class: its span ends at its last member.
-      const PlannedCheck& prior = plan.checks.back();
-      prev_span_end = prior.classmates.empty()
-                          ? prior.point.seq
-                          : prior.classmates.back().seq;
     }
     PlannedCheck check;
     check.point = point;

@@ -84,8 +84,8 @@ bool VerdictLedger::Admit() {
     return false;
   }
   // Reserved before the check runs, not counted when its verdict lands:
-  // the pipelined fork-server and racing lanes would otherwise overshoot
-  // the budget by the pipeline depth.
+  // racing lanes would otherwise overshoot the budget by up to one check
+  // per lane.
   if (options_.budget_checks > 0 &&
       reserved_.fetch_add(1, std::memory_order_relaxed) >=
           options_.budget_checks) {

@@ -71,7 +71,7 @@ PointResult ProcessReplayPoint(const TargetFactory& factory,
   }
 
   r.verdict = RunOracle(sandbox, 0, factory, cursor->borrow_image());
-  if (fresh_insert) {
+  if (fresh_insert && r.verdict.oracle_ran) {
     r.insert = true;
     r.entry = CacheEntryFromVerdict(r.verdict, point.seq);
     session_cache->Insert(

@@ -68,6 +68,9 @@ struct JournalVerdict {
   std::string pruned_by;    // equivalence-class provenance (--prune-equiv)
   bool from_cache = false;  // verdict came from the MVC1 cache / image dedup
   uint32_t worker = 0;      // worker lane (0 = serial / pipeline thread)
+  // False when the sandbox could not run the check (SandboxVerdict::
+  // oracle_ran); such verdicts are never cached. Not journaled.
+  bool oracle_ran = true;
 };
 
 // Decoded journal prefix: everything ReplayJournal could recover before

@@ -3,9 +3,9 @@
 // zero. A streaming pass that walks the whole trace once (the cursor
 // visits every failure point in seq order) feeds it, and it captures a
 // handful of image checkpoints at block-aligned event indices as the
-// cursor crosses them. A later out-of-order consumer — ranked dispatch,
-// the pipelined fork-server's deferred-dedup resolver, a fleet worker
-// starting a shard — then seeks: it resumes a cursor from the latest
+// cursor crosses them. A later out-of-order consumer — a ranked plan's
+// lane whose next check lies behind its cursor, a fleet worker starting a
+// shard — then seeks: it resumes a cursor from the latest
 // checkpoint at or before its target seq, paying O(target - checkpoint)
 // store patches instead of O(target).
 //

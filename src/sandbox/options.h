@@ -95,6 +95,10 @@ struct SandboxVerdict {
   // parent verify the shared-memory handoff delivered the intended bytes.
   // Only populated when SandboxOptions::verify_digest is set.
   uint64_t digest = 0;
+  // False when the sandbox could not run the oracle at all (no worker, a
+  // failed fork, a bad slot or image size): such a verdict says nothing
+  // about the image and must not be cached.
+  bool oracle_ran = true;
 };
 
 // Same signature as core's TargetFactory; redeclared here so the sandbox

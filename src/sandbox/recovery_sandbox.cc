@@ -96,6 +96,15 @@ bool WriteSpansAndVerdict(int fd, const std::vector<WireSpan>& spans,
   return WriteFull(fd, message.data(), message.size());
 }
 
+// A verdict for a check the sandbox could not run at all.
+SandboxVerdict SandboxError(const char* detail) {
+  SandboxVerdict verdict;
+  verdict.status = RecoveryStatus::kCrashed;
+  verdict.detail = detail;
+  verdict.oracle_ran = false;
+  return verdict;
+}
+
 // Long-lived fork-server worker: serve checks from the shared image buffer
 // until the command channel closes. Runs in the child; never returns.
 [[noreturn]] void WorkerMain(int fd, const SandboxTargetFactory& factory,
@@ -184,21 +193,13 @@ RecoverySandbox::~RecoverySandbox() {
   }
 }
 
-uint8_t* RecoverySandbox::ImageBuffer(uint32_t slot) {
-  return slot < shm_.size() ? shm_[slot] : nullptr;
-}
-
 SandboxVerdict RecoverySandbox::Check(uint32_t slot, const uint8_t* data,
                                       size_t size) {
-  if (options_.policy == SandboxPolicy::kForkServer) {
-    SandboxVerdict error;
-    if (!StartServerCheck(slot, data, size, &error)) {
-      return error;
-    }
-    return FinishServerCheck(slot);  // observes recovery.sandbox_us
-  }
   const auto start = Clock::now();
-  const SandboxVerdict verdict = CheckForkPerCheck(slot, data, size);
+  const SandboxVerdict verdict =
+      options_.policy == SandboxPolicy::kForkServer
+          ? CheckForkServer(slot, data, size)
+          : CheckForkPerCheck(slot, data, size);
   if (sandbox_us_ != nullptr) {
     sandbox_us_->Observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
@@ -213,19 +214,13 @@ SandboxVerdict RecoverySandbox::CheckForkPerCheck(uint32_t slot,
                                                   size_t size) {
   int fds[2];
   if (pipe2(fds, O_CLOEXEC) != 0) {
-    SandboxVerdict verdict;
-    verdict.status = RecoveryStatus::kCrashed;
-    verdict.detail = "sandbox: pipe2 failed";
-    return verdict;
+    return SandboxError("sandbox: pipe2 failed");
   }
   const pid_t pid = fork();
   if (pid < 0) {
     close(fds[0]);
     close(fds[1]);
-    SandboxVerdict verdict;
-    verdict.status = RecoveryStatus::kCrashed;
-    verdict.detail = "sandbox: fork failed";
-    return verdict;
+    return SandboxError("sandbox: fork failed");
   }
   if (pid == 0) {
     // Child: the crash image is readable via copy-on-write — no handoff
@@ -263,13 +258,12 @@ SandboxVerdict RecoverySandbox::CheckForkPerCheck(uint32_t slot,
   return verdict;
 }
 
-bool RecoverySandbox::StartServerCheck(uint32_t slot, const uint8_t* data,
-                                       size_t size, SandboxVerdict* error) {
+SandboxVerdict RecoverySandbox::CheckForkServer(uint32_t slot,
+                                                const uint8_t* data,
+                                                size_t size) {
   if (slot >= workers_.size() || shm_[slot] == nullptr ||
       size > image_bytes_) {
-    error->status = RecoveryStatus::kCrashed;
-    error->detail = "sandbox: bad slot or image size";
-    return false;
+    return SandboxError("sandbox: bad slot or image size");
   }
   Worker& worker = workers_[slot];
   if (worker.pid >= 0 && options_.checks_per_fork > 0 &&
@@ -279,14 +273,10 @@ bool RecoverySandbox::StartServerCheck(uint32_t slot, const uint8_t* data,
   if (worker.pid < 0) {
     SpawnWorker(slot);
     if (worker.pid < 0) {
-      error->status = RecoveryStatus::kCrashed;
-      error->detail = "sandbox: could not spawn worker";
-      return false;
+      return SandboxError("sandbox: could not spawn worker");
     }
   }
-  if (data != nullptr && data != shm_[slot]) {
-    memcpy(shm_[slot], data, size);
-  }
+  memcpy(shm_[slot], data, size);
   CmdHeader cmd;
   cmd.image_size = size;
   cmd.timeout_ms = options_.timeout_ms;
@@ -296,29 +286,20 @@ bool RecoverySandbox::StartServerCheck(uint32_t slot, const uint8_t* data,
     StopWorker(slot);
     SpawnWorker(slot);
     if (worker.pid < 0 || !WriteFull(worker.fd, &cmd, sizeof(cmd))) {
-      error->status = RecoveryStatus::kCrashed;
-      error->detail = "sandbox: worker unavailable";
-      return false;
+      return SandboxError("sandbox: worker unavailable");
     }
   }
-  worker.started = Clock::now();
-  if (options_.tracer != nullptr) {
-    worker.dispatched_us = options_.tracer->NowMicros();
-  }
-  return true;
-}
-
-SandboxVerdict RecoverySandbox::FinishServerCheck(uint32_t slot) {
-  Worker& worker = workers_[slot];
   const pid_t worker_pid = worker.pid;
+  const uint64_t dispatched_us =
+      options_.tracer != nullptr ? options_.tracer->NowMicros() : 0;
   bool survived = false;
   std::vector<WireSpan> spans;
   SandboxVerdict verdict = AwaitVerdict(
       worker.fd, worker.pid,
-      worker.started + std::chrono::milliseconds(options_.timeout_ms),
+      Clock::now() + std::chrono::milliseconds(options_.timeout_ms),
       /*reap_on_success=*/false, &survived,
       options_.tracer != nullptr ? &spans : nullptr);
-  RecordChildSpans(&spans, slot, worker_pid, worker.dispatched_us);
+  RecordChildSpans(&spans, slot, worker_pid, dispatched_us);
   if (survived) {
     ++worker.served;
   } else {
@@ -328,12 +309,6 @@ SandboxVerdict RecoverySandbox::FinishServerCheck(uint32_t slot) {
     worker.fd = -1;
     worker.pid = -1;
     worker.served = 0;
-  }
-  if (sandbox_us_ != nullptr) {
-    sandbox_us_->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - worker.started)
-            .count()));
   }
   return verdict;
 }
@@ -420,9 +395,8 @@ SandboxVerdict RecoverySandbox::AwaitVerdict(int fd, pid_t pid,
 
     int64_t remaining = RemainingMs(deadline);
     if (remaining <= 0) {
-      // Under the pipelined API the collect can run long after the
-      // dispatch; a verdict may already be sitting in the socket buffer.
-      // Drain whatever is readable before declaring a timeout.
+      // A verdict may have arrived as the deadline passed, after the last
+      // poll: drain whatever is readable before declaring a timeout.
       struct pollfd probe;
       probe.fd = fd;
       probe.events = POLLIN;

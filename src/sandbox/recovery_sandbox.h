@@ -43,45 +43,22 @@ class RecoverySandbox {
   SandboxPolicy policy() const { return options_.policy; }
   const SandboxOptions& options() const { return options_; }
 
-  // Fork-server zero-copy path: the slot's shared image buffer
-  // (image_bytes() capacity). Producers may synthesize a crash image
-  // directly into it and then call Check(slot, nullptr, size). Null under
-  // kForkPerCheck (the child reads the parent's buffer via copy-on-write
-  // instead).
-  uint8_t* ImageBuffer(uint32_t slot);
-
   // Runs one oracle check on `slot`. `data` is the crash image; under
-  // kForkServer it is copied into the slot's shared buffer unless it
-  // already is that buffer (or null, meaning "the buffer is pre-loaded").
-  // Blocks until a verdict, the deadline, or child death. Thread-safe
-  // across distinct slots; a slot serves one check at a time.
+  // kForkServer it is copied into the slot's shared buffer, and the worker
+  // only reads it there. Blocks until a verdict, the deadline, or child
+  // death. Thread-safe across distinct slots; a slot serves one check at a
+  // time.
   SandboxVerdict Check(uint32_t slot, const uint8_t* data, size_t size);
-
-  // Pipelined fork-server API, for a single orchestrator thread driving
-  // several workers: StartServerCheck dispatches the check (copy + command
-  // send, no blocking on the verdict) so up to slots() checks run
-  // concurrently; FinishServerCheck collects the verdict (blocking, with
-  // the deadline measured from the Start). Every successful Start must be
-  // paired with exactly one Finish on the same slot before the slot is
-  // reused. Returns false when no worker could be started, with *error
-  // filled in — the caller records it as the verdict and must NOT call
-  // FinishServerCheck. kForkServer only.
-  bool StartServerCheck(uint32_t slot, const uint8_t* data, size_t size,
-                        SandboxVerdict* error);
-  SandboxVerdict FinishServerCheck(uint32_t slot);
 
  private:
   struct Worker {
     pid_t pid = -1;
     int fd = -1;         // parent end of the command/result socketpair
     uint64_t served = 0; // checks since the last fork (recycle counter)
-    // When the in-flight check was dispatched (deadline anchor).
-    std::chrono::steady_clock::time_point started;
-    // Tracer timestamp of the dispatch (span rebase anchor); only
-    // maintained when options_.tracer is set.
-    uint64_t dispatched_us = 0;
   };
 
+  SandboxVerdict CheckForkServer(uint32_t slot, const uint8_t* data,
+                                 size_t size);
   SandboxVerdict CheckForkPerCheck(uint32_t slot, const uint8_t* data,
                                    size_t size);
   // Collects a verdict from `fd` within the deadline; on timeout or

@@ -606,18 +606,25 @@ TEST(LaneDeterminism, RankedRunMatchesUnranked) {
          {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
       SCOPED_TRACE(strategy == InjectionStrategy::kReplay ? "replay"
                                                           : "reexec");
-      auto run = [&](bool rank) {
+      auto run = [&](bool rank, uint32_t seek_checkpoints) {
         FaultInjectionOptions fi;
         fi.strategy = strategy;
         fi.rank = rank;
+        fi.seek_checkpoints = seek_checkpoints;
         FaultInjectionEngine engine(Factory(c.target, options), spec, fi);
         FailurePointTree tree = engine.Profile();
         FaultInjectionStats stats;
         return engine.InjectAll(&tree, &stats);
       };
-      const Report unranked = run(false);
+      const Report unranked = run(false, 4);
       ASSERT_GT(unranked.BugCount(), 0u);
-      EXPECT_EQ(Canonical(run(true)), Canonical(unranked));
+      // A ranked replay lane advances its cursor when the next check lies
+      // ahead and re-seeks when it lies behind: from the nearest checkpoint
+      // with 4, from zero with none.
+      for (const uint32_t seek_checkpoints : {0u, 4u}) {
+        SCOPED_TRACE(seek_checkpoints);
+        EXPECT_EQ(Canonical(run(true, seek_checkpoints)), Canonical(unranked));
+      }
     }
   }
 }

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bench/flush_heavy_target.h"
 #include "src/core/fault_injection.h"
 #include "src/core/report.h"
 #include "src/pmdk/obj_pool.h"
@@ -462,23 +465,6 @@ TEST(SandboxForkServer, CrashDoesNotPoisonTheLane) {
   EXPECT_TRUE(NoChildrenLeft());
 }
 
-TEST(SandboxForkServer, PreloadedImageBufferSkipsTheCopy) {
-  SandboxOptions options;
-  options.policy = SandboxPolicy::kForkServer;
-  options.verify_digest = true;
-  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-
-  uint8_t* buffer = sandbox.ImageBuffer(0);
-  ASSERT_NE(buffer, nullptr);
-  const std::vector<uint8_t> image = ScriptedImage(kScriptOk);
-  std::memcpy(buffer, image.data(), image.size());
-
-  // nullptr data = "the slot buffer is already loaded".
-  const SandboxVerdict v = sandbox.Check(0, nullptr, image.size());
-  EXPECT_EQ(v.status, RecoveryStatus::kOk);
-  EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
-}
-
 // ---------------------------------------------------------------------
 // End-to-end: an injection campaign over deliberately broken recovery
 // paths must complete and report the hazard, not die from it.
@@ -595,6 +581,99 @@ TEST(SandboxEngine, MatchesInProcessVerdictsOnASeededBug) {
     EXPECT_EQ(baseline.findings()[i].detail,
               sandboxed_report.findings()[i].detail);
   }
+  EXPECT_TRUE(NoChildrenLeft());
+}
+
+// Fork-server checks run on the same lanes as in-process ones: lane i
+// blocks in slot i. On the flush-heavy log (each operation's last 9
+// failure points share one image; tiny pool) twins of an image whose
+// sandboxed check is still in flight meet other lanes, which must defer
+// them rather than run the oracle again; the report must not change with
+// the lane count or the sandbox.
+TEST(SandboxEngine, ForkServerLanesRunTheOracleOncePerImage) {
+  WorkloadSpec spec;
+  spec.operations = 40;
+  auto factory = []() -> TargetPtr {
+    return std::make_unique<FlushHeavyTarget>();
+  };
+  // Sandbox evidence (oracle wall time) and which twin a lane happened to
+  // check first (dedup_of) are the only fields allowed to differ.
+  auto canonical = [](const Report& report) {
+    Report out;
+    for (Finding finding : report.findings()) {
+      finding.dedup_of.clear();
+      finding.recovery_wall_us = 0;
+      out.Add(std::move(finding));
+    }
+    return out.RenderJson();
+  };
+  auto run = [&](SandboxPolicy policy, uint32_t workers,
+                 FaultInjectionStats* stats) {
+    FaultInjectionEngine engine(
+        factory, spec, SandboxedReplayOptions(policy, 5000, workers));
+    FailurePointTree tree = engine.Profile();
+    return engine.InjectAll(&tree, stats);
+  };
+  FaultInjectionStats in_process_stats;
+  const Report in_process =
+      run(SandboxPolicy::kInProcess, 1, &in_process_stats);
+  ASSERT_GT(in_process.BugCount(), 0u) << "seeded checksum bug not reached";
+  for (const uint32_t workers : {1u, 3u}) {
+    SCOPED_TRACE(workers);
+    FaultInjectionStats stats;
+    const Report report = run(SandboxPolicy::kForkServer, workers, &stats);
+    EXPECT_EQ(canonical(report), canonical(in_process));
+    EXPECT_EQ(stats.injections, in_process_stats.injections);
+    EXPECT_EQ(stats.distinct_images, in_process_stats.distinct_images);
+    EXPECT_EQ(stats.distinct_images + stats.dedup_hits, stats.injections);
+  }
+  EXPECT_TRUE(NoChildrenLeft());
+}
+
+// A check the sandbox cannot run at all (here the crash image is larger
+// than the sandbox's slots) gets a verdict that says nothing about the
+// image. It still reaches the report, but never the verdict cache: twins
+// deferred on its digest are rechecked rather than handed its verdict, and
+// nothing is saved for later runs.
+TEST(SandboxEngine, ChecksTheSandboxCouldNotRunAreNeverCached) {
+  class HalfPoolTarget : public FlushHeavyTarget {
+   public:
+    explicit HalfPoolTarget(bool half) : half_(half) {}
+    uint64_t DefaultPoolSize() const override {
+      return FlushHeavyTarget::DefaultPoolSize() / (half_ ? 2 : 1);
+    }
+
+   private:
+    bool half_;
+  };
+  // A re-execute campaign profiles the first target built and sizes the
+  // sandbox from the second; only that one reports half the pool.
+  std::atomic<int> built{0};
+  auto factory = [&built]() -> TargetPtr {
+    return std::make_unique<HalfPoolTarget>(built++ == 1);
+  };
+  WorkloadSpec spec;
+  spec.operations = 20;
+  FaultInjectionOptions options;
+  options.strategy = InjectionStrategy::kReExecute;
+  options.workers = 3;
+  options.sandbox.policy = SandboxPolicy::kForkServer;
+  options.sandbox.timeout_ms = 5000;
+  options.verdict_cache_path = ::testing::TempDir() + "/not_run.mvc";
+  std::remove(options.verdict_cache_path.c_str());
+  FaultInjectionEngine engine(factory, spec, options);
+  FailurePointTree tree = engine.Profile();
+  FaultInjectionStats stats;
+  const Report report = engine.InjectAll(&tree, &stats);
+
+  ASSERT_GT(stats.injections, 0u);
+  ASSERT_EQ(report.findings().size(), 1u) << report.Render();
+  EXPECT_EQ(report.findings()[0].detail, "sandbox: bad slot or image size");
+  EXPECT_TRUE(report.findings()[0].dedup_of.empty());
+  EXPECT_EQ(stats.distinct_images, 0u);
+  EXPECT_EQ(stats.dedup_hits, 0u);
+  EXPECT_EQ(stats.cache_saved, 0u);
+  std::remove(options.verdict_cache_path.c_str());
   EXPECT_TRUE(NoChildrenLeft());
 }
 
